@@ -687,6 +687,7 @@ void ClusterEngine::collect_slot(std::uint32_t slot,
 }
 
 core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
+  next_seq_ = check_arrival_order(tuples, next_seq_);
   ++epoch_;
   std::fill(slot_epoch_tuples_.begin(), slot_epoch_tuples_.end(), 0);
   if (cfg_.recovery.supervise) {
@@ -717,8 +718,9 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
   }
 
   // Batched ingress: the whole epoch routes as one span (one virtual-free
-  // pass, no per-tuple scratch vector) and the tracker map is pre-sized,
-  // so the router amortizes its per-tuple dispatch the way the engines do.
+  // pass, no per-tuple scratch vector), so the router amortizes its
+  // per-tuple dispatch the way the engines do. The tracker's epoch log is
+  // pre-sized for the span; its per-stream logs keep the last W arrivals.
   if (cfg_.window_mode == WindowMode::kExactGlobal) {
     tracker_.reserve(input->size());
     for (const Tuple& t : *input) tracker_.observe(t);
@@ -780,6 +782,7 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
 }
 
 void ClusterEngine::prefill(const std::vector<Tuple>& tuples) {
+  next_seq_ = check_arrival_order(tuples, next_seq_);
   // The engine is quiescent (before the first process() or between
   // epochs); inner engines are warmed directly, and the next epoch's
   // inbox traffic publishes the writes to the worker threads.
@@ -1133,6 +1136,19 @@ void ClusterEngine::collect_metrics(obs::MetricRegistry& registry,
                        obs::Stability::kRuntime);
   registry.set_gauge(prefix + "elapsed_seconds", rep.elapsed_seconds,
                      obs::Stability::kRuntime);
+  // Exact-global merge-filter state: at most 2W plus the current epoch's
+  // arrivals. It follows which tuples were admitted and which epochs had
+  // raw results to check, so it is as reproducible as those are.
+  const bool racy_merge_input =
+      rep.guard_enabled ||
+      std::any_of(rep.workers.begin(), rep.workers.end(),
+                  [](const WorkerReport& wr) {
+                    return wr.backend == core::Backend::kSwHandshake;
+                  });
+  registry.set_gauge(prefix + "tracker.retained_arrivals",
+                     static_cast<double>(tracker_.retained()),
+                     racy_merge_input ? obs::Stability::kRuntime
+                                      : obs::Stability::kDeterministic);
   // hal::guard: admission totals depend on the latch's timing history and
   // breaker state on real wire behavior, so everything here is runtime.
   if (rep.guard_enabled) {

@@ -30,7 +30,10 @@
 // serving the surviving shards.
 //
 // An epoch is one process() call: feed, drain, merge, report. The engine
-// is quiescent between epochs, which is when report() may be read.
+// is quiescent between epochs, which is when report() may be read. Seqs
+// must strictly increase across every process() and prefill() input of
+// the run; an input that breaks this throws PreconditionError before the
+// engine changes any state.
 #pragma once
 
 #include <atomic>
@@ -524,6 +527,7 @@ class ClusterEngine final : public core::StreamJoinEngine {
   // Main-thread epoch state. Slot-indexed vectors cover retired slots
   // too (grow-only, like workers_).
   std::uint64_t epoch_ = 0;
+  std::uint64_t next_seq_ = 0;  // least seq the next arrival may carry
   std::vector<std::vector<stream::Tuple>> slot_staging_;
   std::vector<std::uint64_t> slot_epoch_tuples_;
   std::vector<std::uint32_t> active_replica_;

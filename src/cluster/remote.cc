@@ -210,6 +210,7 @@ void RemoteCoordinator::flush_slot(std::uint32_t slot,
 
 core::RunReport RemoteCoordinator::process(const std::vector<Tuple>& tuples) {
   HAL_CHECK(!shut_down_, "coordinator already shut down");
+  next_seq_ = check_arrival_order(tuples, next_seq_);
   ++epoch_;
   Timer wall;
   std::fill(slot_r_count_.begin(), slot_r_count_.end(), 0);

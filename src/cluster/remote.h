@@ -117,7 +117,8 @@ class RemoteCoordinator {
   RemoteCoordinator& operator=(const RemoteCoordinator&) = delete;
 
   // One epoch: route, barrier on every worker's watermark answer, merge,
-  // window-filter, order deterministically.
+  // window-filter, order deterministically. Seqs must strictly increase
+  // across the run's inputs (PreconditionError otherwise, state untouched).
   core::RunReport process(const std::vector<stream::Tuple>& tuples);
   std::vector<stream::ResultTuple> take_results();
 
@@ -143,6 +144,7 @@ class RemoteCoordinator {
   std::vector<std::unique_ptr<net::Connection>> conns_;
 
   std::uint64_t epoch_ = 0;
+  std::uint64_t next_seq_ = 0;  // least seq the next arrival may carry
   std::vector<std::vector<stream::Tuple>> staging_;
   std::vector<std::uint32_t> scratch_slots_;
   std::vector<std::uint64_t> slot_r_count_;  // per-epoch watermark audit

@@ -30,13 +30,20 @@
 // the global W-tuple window (kKeyHash, or the long side of a non-square
 // grid), the engine is given a window large enough to never *miss* a
 // global-window partner, and the merger discards the stale extras using
-// the WindowTracker: the router records, for every arrival, how many R/S
-// tuples preceded it, which is sufficient to decide post-hoc whether the
-// stored tuple of a result pair was still inside the probing tuple's
-// global window. Subset guarantee + superset filter ⇒ byte-identical
-// result multisets to the single-node oracle.
+// the WindowTracker. Seq is the global arrival index, strictly increasing
+// across a run (gaps allowed, e.g. where the guard shed), so a stream's
+// n-th arrival can be named by its seq: a probe that arrived after A
+// tuples of the other stream X still held a stored X tuple q iff A <= W
+// or q.seq >= the seq of X's arrival number A - W. The tracker therefore
+// keeps only each stream's last W arrival seqs plus the current epoch's
+// arrivals — O(W + epoch) state however long the run — and the
+// coordinators reject an input whose seqs do not strictly increase
+// (check_arrival_order) before they change any state.
+// Subset guarantee + superset filter ⇒ byte-identical result multisets to
+// the single-node oracle.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -211,59 +218,113 @@ class Router {
   std::vector<std::uint32_t> hash_out_ = std::vector<std::uint32_t>(kHashChunk);
 };
 
-// Arrival-order accounting for the merger's exact-global window filter.
+// Throws PreconditionError unless the seqs of `tuples` strictly increase
+// and start at or above `next_seq`, the least seq the next arrival of the
+// run may carry. Returns the new least seq. Checks the whole span, so a
+// caller that checks first changes no state on a rejected input.
+[[nodiscard]] std::uint64_t check_arrival_order(
+    std::span<const stream::Tuple> tuples, std::uint64_t next_seq);
+
+// Arrival-order accounting for the merger's exact-global window filter
+// (see the header comment for the seq-horizon rule).
+//
+// Epochs follow the coordinators' call order: observe() an epoch's
+// arrivals, then pair_in_window() its results. The first observe() after
+// a pair check starts a new epoch, whose results may only probe tuples
+// observed in it; an epoch without pair checks runs on into the next. The
+// first pair check fixes W. Per stream the tracker keeps the seqs of the
+// last W arrivals before the epoch plus every arrival since, and for the
+// epoch's arrivals alone the count of earlier other-stream arrivals.
 class WindowTracker {
  public:
-  // Pre-sizes the arrival map for `n` further observations, so a batched
-  // ingress loop does not rehash mid-span.
-  void reserve(std::size_t n) { counts_.reserve(counts_.size() + n); }
+  // Pre-sizes the epoch log for `n` further observations.
+  void reserve(std::size_t n) {
+    epoch_.reserve((checked_ ? 0 : epoch_.size()) + n);
+  }
 
-  // Records one arrival. Tuples must be observed in arrival order; seq
-  // values must be unique across the run (the generators guarantee this).
+  // Records one arrival. Seqs must strictly increase across the run.
   void observe(const stream::Tuple& t) {
-    counts_.emplace(t.seq, Counts{seen_r_, seen_s_});
-    if (t.origin == stream::StreamId::R) {
-      ++seen_r_;
-    } else {
-      ++seen_s_;
-    }
+    if (checked_) start_epoch();
+    const bool is_r = t.origin == stream::StreamId::R;
+    epoch_.push_back({t.seq, (is_r ? s_ : r_).arrivals()});
+    (is_r ? r_ : s_).push(t.seq);
   }
 
   // True iff the earlier tuple of the pair was still inside the later
   // (probing) tuple's opposite-stream window of `window` tuples when the
   // probe arrived — the reference oracle's probe-then-insert semantics.
+  // The probe must be an arrival of the current epoch, and `window` the
+  // same on every call.
   [[nodiscard]] bool pair_in_window(const stream::ResultTuple& result,
-                                    std::size_t window) const {
+                                    std::size_t window) {
+    if (window != window_) {
+      HAL_CHECK(window_ == 0 && window > 0,
+                "a WindowTracker filters for one window size W >= 1");
+      window_ = window;
+    }
+    checked_ = true;
     const bool r_probes = result.r.seq > result.s.seq;
-    const stream::Tuple& probe = r_probes ? result.r : result.s;
-    const stream::Tuple& stored = r_probes ? result.s : result.r;
-    const auto probe_it = counts_.find(probe.seq);
-    const auto stored_it = counts_.find(stored.seq);
-    HAL_ASSERT_MSG(probe_it != counts_.end() && stored_it != counts_.end(),
-                   "result references a tuple the router never saw");
-    const bool stored_is_r = stored.origin == stream::StreamId::R;
-    const std::uint64_t before_probe =
-        stored_is_r ? probe_it->second.r : probe_it->second.s;
-    const std::uint64_t before_stored =
-        stored_is_r ? stored_it->second.r : stored_it->second.s;
-    // `stored` is the (before_stored + 1)-th tuple of its stream; it is
-    // still windowed at the probe iff at most `window` same-stream tuples
-    // (itself included) arrived up to the probe after its insertion point.
-    return before_probe - before_stored <= window;
+    const std::uint64_t probe = r_probes ? result.r.seq : result.s.seq;
+    const std::uint64_t stored = r_probes ? result.s.seq : result.r.seq;
+    const auto it = std::partition_point(
+        epoch_.begin(), epoch_.end(),
+        [probe](const Arrival& a) { return a.seq < probe; });
+    HAL_ASSERT_MSG(it != epoch_.end() && it->seq == probe,
+                   "result probes a tuple outside the epoch being filtered");
+    if (it->before_other <= window_) return true;
+    return stored >= (r_probes ? s_ : r_).seq_of(it->before_other - window_);
   }
 
-  [[nodiscard]] std::size_t observed() const noexcept {
-    return counts_.size();
+  // Arrival seqs held: at most 2W plus the current epoch's arrivals once a
+  // pair check has fixed W, and independent of the run's length.
+  [[nodiscard]] std::size_t retained() const noexcept {
+    return r_.size() + s_.size();
   }
 
  private:
-  struct Counts {
-    std::uint64_t r;  // R tuples that arrived strictly before this one
-    std::uint64_t s;
+  // One stream's newest arrival seqs, oldest first, in a ring whose size
+  // is a power of two: the stream's arrival number `first_ + i` (0-based)
+  // sits at ring index (head_ + i) mod the ring size.
+  class ArrivalLog {
+   public:
+    void push(std::uint64_t seq) {
+      if (size_ == ring_.size()) grow();
+      ring_[(head_ + size_) & (ring_.size() - 1)] = seq;
+      ++size_;
+    }
+    // Seq of arrival number `n`, which must still be held.
+    [[nodiscard]] std::uint64_t seq_of(std::uint64_t n) const {
+      HAL_ASSERT(n >= first_ && n - first_ < size_);
+      return ring_[(head_ + (n - first_)) & (ring_.size() - 1)];
+    }
+    void keep_newest(std::size_t n);
+    // Arrivals of this stream so far.
+    [[nodiscard]] std::uint64_t arrivals() const noexcept {
+      return first_ + size_;
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+   private:
+    void grow();
+
+    std::vector<std::uint64_t> ring_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+    std::uint64_t first_ = 0;
   };
-  std::unordered_map<std::uint64_t, Counts> counts_;
-  std::uint64_t seen_r_ = 0;
-  std::uint64_t seen_s_ = 0;
+
+  struct Arrival {
+    std::uint64_t seq;
+    std::uint64_t before_other;  // other-stream arrivals strictly before
+  };
+
+  void start_epoch();
+
+  ArrivalLog r_;
+  ArrivalLog s_;
+  std::vector<Arrival> epoch_;  // arrivals since the epoch started
+  std::size_t window_ = 0;      // W; 0 until the first pair check
+  bool checked_ = false;        // a pair check ran since the last observe
 };
 
 }  // namespace hal::cluster

@@ -434,10 +434,12 @@ TEST(Elastic, ControllerMetricsExport) {
   ClusterEngine engine(cfg);
   Controller ctl(engine);
 
-  (void)engine.process(workload(300, 77));
+  // Both epochs come from one generator: seq is the run's arrival index.
+  const auto epochs = chunked(workload(600, 77), 2);
+  (void)engine.process(epochs[0]);
   (void)engine.take_results();
   (void)ctl.add_shards(1);
-  (void)engine.process(workload(300, 78));
+  (void)engine.process(epochs[1]);
   (void)engine.take_results();
 
   obs::MetricRegistry reg;

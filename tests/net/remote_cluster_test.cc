@@ -54,6 +54,7 @@ struct RemoteRun {
   std::vector<ResultTuple> results;
   RemoteClusterReport report;
   std::vector<RemoteWorkerReport> workers;
+  std::size_t rejected_epochs = 0;  // process() threw PreconditionError
 };
 
 // Spins up in-thread workers, runs `epochs` epochs of the workload
@@ -99,7 +100,13 @@ RemoteRun run_remote(net::TransportKind kind, RemoteClusterConfig cfg,
   RemoteRun run;
   {
     RemoteCoordinator coordinator(cfg);
-    for (const auto& epoch : epochs) coordinator.process(epoch);
+    for (const auto& epoch : epochs) {
+      try {
+        coordinator.process(epoch);
+      } catch (const PreconditionError&) {
+        ++run.rejected_epochs;
+      }
+    }
     run.results = coordinator.take_results();
     run.report = coordinator.report();
     coordinator.shutdown();
@@ -143,6 +150,23 @@ TEST_P(RemoteClusterTest, MatchesOracleAcrossEpochs) {
     EXPECT_EQ(w.epochs, epochs.size());
   }
   EXPECT_EQ(worker_tuples, run.report.routed_tuples);
+}
+
+// A repeated seq is rejected before the coordinator routes anything, so
+// the next epoch carries on exactly.
+TEST_P(RemoteClusterTest, RepeatedSeqIsRejectedWithoutSideEffects) {
+  const auto tuples = workload(400, 27);
+  const std::vector<Tuple> first(tuples.begin(), tuples.begin() + 200);
+  const std::vector<Tuple> rest(tuples.begin() + 200, tuples.end());
+  std::vector<Tuple> repeated = rest;
+  repeated.back().seq = first.back().seq;
+  const RemoteClusterConfig cfg = base_remote_config();
+  const RemoteRun run = run_remote(GetParam(), cfg, {first, repeated, rest});
+
+  EXPECT_EQ(run.rejected_epochs, 1u);
+  EXPECT_EQ(run.report.epochs, 2u);
+  ReferenceJoin oracle(cfg.window_size, cfg.spec);
+  EXPECT_EQ(normalize(run.results), normalize(oracle.process_all(tuples)));
 }
 
 TEST_P(RemoteClusterTest, SplitGridBandJoinMatchesOracle) {
