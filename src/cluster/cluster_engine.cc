@@ -653,8 +653,23 @@ void ClusterEngine::collect_slot(std::uint32_t slot,
         backoff.pause();
       }
     } else {
+      // A budgeted ingress wire that stays down past its send budget is
+      // treated like a send that ran out of budget: the wire may have
+      // accepted the epoch's last batches just before a partition, and
+      // no later send is left to notice, so waiting would wedge the epoch.
+      Worker& w = *workers_[base + rep];
+      const double budget_us = w.inbox.params().send_budget_us;
+      Timer down_for;
+      bool down = false;
       while (m.completed_epoch.load(std::memory_order_acquire) < epoch_ &&
              !m.died.load(std::memory_order_acquire)) {
+        if (budget_us > 0.0 && w.inbox.wire_down()) {
+          if (!down) down_for.reset();
+          down = true;
+          if (down_for.elapsed_us() > budget_us) abandon_worker(w.index);
+        } else {
+          down = false;
+        }
         backoff.pause();
       }
     }

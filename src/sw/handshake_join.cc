@@ -20,6 +20,9 @@ HandshakeJoinEngine::HandshakeJoinEngine(HandshakeJoinConfig cfg,
             "window must hold at least one tuple per core");
   HAL_CHECK(cfg_.window_size % cfg_.num_cores == 0,
             "window_size must be a multiple of num_cores");
+  HAL_CHECK(cfg_.input_queue_capacity >= 1,
+            "input_queue_capacity must be at least 1 (it also bounds the "
+            "eviction queues)");
   pure_key_equi_ = spec_.is_pure_key_equi();
   const std::size_t sub_window = cfg_.window_size / cfg_.num_cores;
   for (std::uint32_t i = 0; i < cfg_.num_cores; ++i) {
@@ -92,17 +95,35 @@ void HandshakeJoinEngine::enter(std::uint32_t i, const Tuple& t,
       // so the pending count can never dip to zero mid-chain.
       pending_.fetch_add(1, std::memory_order_relaxed);
       if constexpr (obs::kEnabled) ++core.handovers;
-      std::lock_guard<std::mutex> lk(boundaries_[i]->mu);
-      boundaries_[i]->r_q.push_back(evicted);
+      Boundary& b = *boundaries_[i];
+      std::lock_guard<std::mutex> lk(b.mu);
+      b.r_q.push_back(evicted);
+      b.r_len.store(b.r_q.size(), std::memory_order_relaxed);
     } else if (!is_r && i > 0) {
       pending_.fetch_add(1, std::memory_order_relaxed);
       if constexpr (obs::kEnabled) ++core.handovers;
-      std::lock_guard<std::mutex> lk(boundaries_[i - 1]->mu);
-      boundaries_[i - 1]->s_q.push_back(evicted);
+      Boundary& b = *boundaries_[i - 1];
+      std::lock_guard<std::mutex> lk(b.mu);
+      b.s_q.push_back(evicted);
+      b.s_len.store(b.s_q.size(), std::memory_order_relaxed);
     }
     // else: traversed the full window — expired.
   }
   own.insert(t);
+}
+
+bool HandshakeJoinEngine::can_store(std::uint32_t i, bool is_r) const {
+  const Core& core = *cores_[i];
+  const IndexedSoaWindow& own = is_r ? core.win_r : core.win_s;
+  if (own.size() < own.capacity()) return true;  // nothing to evict
+  if (is_r) {
+    if (i + 1 == cfg_.num_cores) return true;  // expires at the right end
+    return boundaries_[i]->r_len.load(std::memory_order_relaxed) <
+           cfg_.input_queue_capacity;
+  }
+  if (i == 0) return true;  // expires at the left end
+  return boundaries_[i - 1]->s_len.load(std::memory_order_relaxed) <
+         cfg_.input_queue_capacity;
 }
 
 void HandshakeJoinEngine::core_loop(std::uint32_t i) {
@@ -121,23 +142,37 @@ void HandshakeJoinEngine::core_loop(std::uint32_t i) {
     pending_.fetch_sub(n, std::memory_order_release);
   };
 
+  // Input batch being entered; a full eviction queue parks the rest of it
+  // here until the neighbor makes room.
+  BatchPtr batch;
+  std::size_t batch_pos = 0;
+
   SpinBackoff backoff;
   while (true) {
     bool did_work = false;
     const bool r_first = prefer_r;
     prefer_r = !prefer_r;
 
-    // Fresh input at the chain ends (either stream for a 1-core chain).
+    // Fresh input at the chain ends (either stream for a 1-core chain,
+    // which has no eviction queues and so always has room).
     auto try_input = [&] {
       if (!leftmost && !rightmost) return false;
-      BatchPtr batch;
-      if (core.batch_input.try_pop(batch)) {
-        for (std::size_t k = 0; k < batch->size(); ++k) {
-          enter(i, batch->tuple_at(k), nullptr);
+      if (batch == nullptr && core.batch_input.try_pop(batch)) batch_pos = 0;
+      if (batch != nullptr) {
+        const std::size_t first = batch_pos;
+        while (batch_pos < batch->size()) {
+          const Tuple& t = batch->tuple_at(batch_pos);
+          if (!can_store(i, t.origin == StreamId::R)) break;
+          enter(i, t, nullptr);
+          ++batch_pos;
         }
-        retire(batch->size());
-        return true;
+        const std::size_t entered = batch_pos - first;
+        if (batch_pos == batch->size()) batch.reset();
+        if (entered > 0) retire(entered);
+        return entered > 0;
       }
+      // A multi-core chain feeds R at the left end and S at the right.
+      if (!can_store(i, leftmost)) return false;
       Tuple t;
       if (!core.input.try_pop(t)) return false;
       enter(i, t, nullptr);
@@ -148,9 +183,10 @@ void HandshakeJoinEngine::core_loop(std::uint32_t i) {
       if (leftmost) return false;
       Boundary& b = *boundaries_[i - 1];
       std::unique_lock<std::mutex> lk(b.mu);
-      if (b.r_q.empty()) return false;
+      if (b.r_q.empty() || !can_store(i, true)) return false;
       const Tuple t = b.r_q.front();
       b.r_q.pop_front();
+      b.r_len.store(b.r_q.size(), std::memory_order_relaxed);
       enter(i, t, &b.s_q);  // lock held across the scan: atomic crossing
       lk.unlock();
       retire(1);
@@ -160,9 +196,10 @@ void HandshakeJoinEngine::core_loop(std::uint32_t i) {
       if (rightmost) return false;
       Boundary& b = *boundaries_[i];
       std::unique_lock<std::mutex> lk(b.mu);
-      if (b.s_q.empty()) return false;
+      if (b.s_q.empty() || !can_store(i, false)) return false;
       const Tuple t = b.s_q.front();
       b.s_q.pop_front();
+      b.s_len.store(b.s_q.size(), std::memory_order_relaxed);
       enter(i, t, &b.r_q);
       lk.unlock();
       retire(1);
@@ -345,6 +382,8 @@ bool HandshakeJoinEngine::restore_state(const core::WindowImage& image) {
                         image.boundaries[b].r_q.end());
     boundary.s_q.assign(image.boundaries[b].s_q.begin(),
                         image.boundaries[b].s_q.end());
+    boundary.r_len.store(boundary.r_q.size(), std::memory_order_relaxed);
+    boundary.s_len.store(boundary.s_q.size(), std::memory_order_relaxed);
   }
   return true;
 }

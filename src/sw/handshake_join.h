@@ -16,6 +16,17 @@
 // second; R operations lean rightward, S leftward), which excludes
 // deadlock cycles on the boundary mutexes.
 //
+// The eviction queues are bounded. Their occupants stay visible to
+// crossing scans until the neighbor takes them in, so an unbounded queue
+// behind a descheduled core would widen the window without limit. A core
+// takes an R tuple in only when it can store it: its R sub-window has a
+// free slot, the tuple expires at the right end, or the right eviction
+// queue has room (S mirrors this leftward). Only core i pushes into
+// boundary i's R queue and only core i+1 drains it, and the chain ends
+// can always expire, so every direction drains end to end and the room
+// checks cannot deadlock. A tuple is therefore visible for at most W plus
+// (N-1) * input_queue_capacity arrivals of its stream.
+//
 // The batched data path (`process_batched`) feeds the chain ends one
 // TupleBatch per SPSC push instead of one tuple; the consuming end core
 // enters the batch's tuples in arrival order and retires the whole batch
@@ -25,6 +36,8 @@
 // precision knob below now counts batches, not tuples), which multi-core
 // tests must absorb with the usual window tolerance; a 1-core chain
 // consumes mixed batches in exact arrival order and stays an exact oracle.
+// A chain end enters a batch tuple by tuple and parks the rest when its
+// eviction queue fills; the tuples it entered retire together.
 #pragma once
 
 #include <atomic>
@@ -56,7 +69,9 @@ struct HandshakeJoinConfig {
   // This is the software analogue of the hardware chain's rendezvous
   // backpressure, and the knob behind "adjustable ordering precision" in
   // the SplitJoin paper's terminology — a larger queue trades window-
-  // semantics fidelity for feeder decoupling.
+  // semantics fidelity for feeder decoupling. The same bound caps each
+  // boundary eviction queue (see above), the decoupling between
+  // neighboring cores.
   std::size_t input_queue_capacity = 4;
   // Equi-probe strategy of the sub-window entry scan (see
   // sw/probe_path.h); boundary-queue scans stay scalar either way.
@@ -111,6 +126,11 @@ class HandshakeJoinEngine {
     std::mutex mu;
     std::deque<stream::Tuple> r_q;  // evicted from core b, visible, → b+1
     std::deque<stream::Tuple> s_q;  // evicted from core b+1, visible, → b
+    // Queue lengths, stored under `mu` after every push and pop, for the
+    // producer's lock-free room check. The producer never reads a value
+    // older than its own last push, so a stale read only overstates.
+    std::atomic<std::size_t> r_len{0};
+    std::atomic<std::size_t> s_len{0};
   };
 
   struct Core {
@@ -137,6 +157,10 @@ class HandshakeJoinEngine {
   // caller already holds when non-null), then stores and evicts.
   void enter(std::uint32_t i, const stream::Tuple& t,
              const std::deque<stream::Tuple>* extra);
+  // Whether core i can store a tuple of the given stream without pushing
+  // past the eviction-queue bound. Lock-free; called only by core i's
+  // thread.
+  [[nodiscard]] bool can_store(std::uint32_t i, bool is_r) const;
 
   HandshakeJoinConfig cfg_;
   stream::JoinSpec spec_;

@@ -422,6 +422,24 @@ TEST(ClusterEngine, ExactGlobalTrackerStateStaysWindowBounded) {
   if (!gauge_seen) GTEST_SKIP() << "HAL_OBS=0: the bound is a metric";
 }
 
+TEST(ClusterRouter, WindowTrackerMatchesReferenceSemantics) {
+  WindowTracker tracker;
+  std::vector<Tuple> tuples;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    Tuple t;
+    t.key = 1;
+    t.seq = i;
+    t.origin = (i % 2 == 0) ? stream::StreamId::R : stream::StreamId::S;
+    tuples.push_back(t);
+    tracker.observe(t);
+  }
+  // W=2: R tuples seq {0,2,4,6}; probe s=seq7 sees window {4,6} only.
+  ResultTuple in_window{tuples[4], tuples[7]};
+  ResultTuple evicted{tuples[2], tuples[7]};
+  EXPECT_TRUE(tracker.pair_in_window(in_window, 2));
+  EXPECT_FALSE(tracker.pair_in_window(evicted, 2));
+}
+
 // WindowTracker against a brute-force per-stream prefix-count oracle:
 // stored q (stream X) is in probe p's window iff at most W arrivals of X,
 // q included, precede p. Driven the way the coordinators drive it — a

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -169,6 +170,11 @@ struct FaultCase {
   // aggregate recovery evidence is deterministic.
   bool exclusive = true;
 };
+
+// gtest prints the parameter into each test name; the default byte dump
+// would show the name pointer, which moves from run to run under address
+// space randomization.
+void PrintTo(const FaultCase& c, std::ostream* os) { *os << c.name; }
 
 class SocketFaultTest : public ::testing::TestWithParam<FaultCase> {};
 

@@ -111,19 +111,23 @@ TEST_P(BatchedPathTest, MatchesTuplePathExactly) {
   EXPECT_EQ(tuple_path.result_keys, normalize(oracle.process_all(tuples)));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BatchedPathTest,
-    testing::Values(
-        Params{Backend::kSwSplitJoin, 1, KeyDistribution::kUniform},
-        Params{Backend::kSwSplitJoin, 7, KeyDistribution::kUniform},
-        Params{Backend::kSwSplitJoin, 7, KeyDistribution::kZipf},
-        Params{Backend::kSwSplitJoin, 64, KeyDistribution::kUniform},
-        Params{Backend::kSwSplitJoin, kWindow, KeyDistribution::kZipf},
-        Params{Backend::kCluster, 1, KeyDistribution::kUniform},
-        Params{Backend::kCluster, 7, KeyDistribution::kZipf},
-        Params{Backend::kCluster, 64, KeyDistribution::kUniform},
-        Params{Backend::kCluster, kWindow, KeyDistribution::kUniform}),
-    name);
+// gtest prints each parameter's bytes into its test name, padding
+// included. Static storage zero-fills the padding and ValuesIn copies the
+// array whole, so the names stay the same from build to build.
+constexpr Params kSweep[] = {
+    {Backend::kSwSplitJoin, 1, KeyDistribution::kUniform},
+    {Backend::kSwSplitJoin, 7, KeyDistribution::kUniform},
+    {Backend::kSwSplitJoin, 7, KeyDistribution::kZipf},
+    {Backend::kSwSplitJoin, 64, KeyDistribution::kUniform},
+    {Backend::kSwSplitJoin, kWindow, KeyDistribution::kZipf},
+    {Backend::kCluster, 1, KeyDistribution::kUniform},
+    {Backend::kCluster, 7, KeyDistribution::kZipf},
+    {Backend::kCluster, 64, KeyDistribution::kUniform},
+    {Backend::kCluster, kWindow, KeyDistribution::kUniform},
+};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, BatchedPathTest, testing::ValuesIn(kSweep),
+                         name);
 
 // kSwBatch has batch-granular kernels either way; its logical-expiry
 // cutoff makes the result multiset independent of the dispatch
