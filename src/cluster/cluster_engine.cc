@@ -49,6 +49,12 @@ std::size_t worker_window_size(const ClusterConfig& cfg) {
   return std::max(w / cfg.grid_rows, w / cfg.grid_cols);
 }
 
+bool emits_results_in_probe_epoch(const core::EngineConfig& worker) {
+  const bool chain = worker.backend == core::Backend::kSwHandshake ||
+                     worker.backend == core::Backend::kHwBiflow;
+  return !chain || worker.num_cores <= 1;
+}
+
 namespace {
 
 [[nodiscard]] std::uint64_t probe_seq(const ResultTuple& t) noexcept {
@@ -77,6 +83,15 @@ ClusterEngine::ClusterEngine(const ClusterConfig& cfg)
     HAL_CHECK(cfg_.grid_rows == cfg_.grid_cols ||
                   cfg_.window_mode == WindowMode::kExactGlobal,
               "non-square grids need the exact-global window filter");
+  }
+  if (cfg_.window_mode == WindowMode::kExactGlobal) {
+    HAL_CHECK(emits_results_in_probe_epoch(cfg_.worker) &&
+                  std::all_of(cfg_.worker_overrides.begin(),
+                              cfg_.worker_overrides.end(),
+                              emits_results_in_probe_epoch),
+              "exact-global windows need workers that emit every result in "
+              "its probe's epoch; a multi-core handshake or bi-flow chain "
+              "does not (use num_cores = 1 or partitioned-local windows)");
   }
 
   if (cfg_.partitioning == Partitioning::kKeyHash &&
@@ -653,23 +668,8 @@ void ClusterEngine::collect_slot(std::uint32_t slot,
         backoff.pause();
       }
     } else {
-      // A budgeted ingress wire that stays down past its send budget is
-      // treated like a send that ran out of budget: the wire may have
-      // accepted the epoch's last batches just before a partition, and
-      // no later send is left to notice, so waiting would wedge the epoch.
-      Worker& w = *workers_[base + rep];
-      const double budget_us = w.inbox.params().send_budget_us;
-      Timer down_for;
-      bool down = false;
       while (m.completed_epoch.load(std::memory_order_acquire) < epoch_ &&
              !m.died.load(std::memory_order_acquire)) {
-        if (budget_us > 0.0 && w.inbox.wire_down()) {
-          if (!down) down_for.reset();
-          down = true;
-          if (down_for.elapsed_us() > budget_us) abandon_worker(w.index);
-        } else {
-          down = false;
-        }
         backoff.pause();
       }
     }
@@ -1153,17 +1153,11 @@ void ClusterEngine::collect_metrics(obs::MetricRegistry& registry,
                      obs::Stability::kRuntime);
   // Exact-global merge-filter state: at most 2W plus the current epoch's
   // arrivals. It follows which tuples were admitted and which epochs had
-  // raw results to check, so it is as reproducible as those are.
-  const bool racy_merge_input =
-      rep.guard_enabled ||
-      std::any_of(rep.workers.begin(), rep.workers.end(),
-                  [](const WorkerReport& wr) {
-                    return wr.backend == core::Backend::kSwHandshake;
-                  });
+  // raw results to check, so only the guard's timing makes it racy.
   registry.set_gauge(prefix + "tracker.retained_arrivals",
                      static_cast<double>(tracker_.retained()),
-                     racy_merge_input ? obs::Stability::kRuntime
-                                      : obs::Stability::kDeterministic);
+                     rep.guard_enabled ? obs::Stability::kRuntime
+                                       : obs::Stability::kDeterministic);
   // hal::guard: admission totals depend on the latch's timing history and
   // breaker state on real wire behavior, so everything here is runtime.
   if (rep.guard_enabled) {

@@ -181,6 +181,15 @@ struct ClusterConfig {
 // True iff the spec pins r.key == s.key, making hash partitioning lossless.
 [[nodiscard]] bool key_hashable(const stream::JoinSpec& spec);
 
+// True iff an engine built from `worker` emits every result during the
+// process() call that delivers its probe. A multi-core chain (kSwHandshake,
+// kHwBiflow) finds a cross-core pair only when a later arrival hands one
+// of its tuples over, often in a later epoch. The exact-global merge
+// filter counts arrivals for the current epoch only, so that mode rejects
+// such workers at construction.
+[[nodiscard]] bool emits_results_in_probe_epoch(
+    const core::EngineConfig& worker);
+
 struct WorkerReport {
   std::uint32_t index = 0;
   std::uint32_t slot = 0;

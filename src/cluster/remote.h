@@ -119,6 +119,10 @@ class RemoteCoordinator {
   // One epoch: route, barrier on every worker's watermark answer, merge,
   // window-filter, order deterministically. Seqs must strictly increase
   // across the run's inputs (PreconditionError otherwise, state untouched).
+  // Exact-global filtering needs workers that emit every result in its
+  // probe's epoch (emits_results_in_probe_epoch() in cluster_engine.h);
+  // a result probing an earlier epoch fails the epoch with
+  // PreconditionError.
   core::RunReport process(const std::vector<stream::Tuple>& tuples);
   std::vector<stream::ResultTuple> take_results();
 

@@ -56,31 +56,4 @@ std::uint64_t check_arrival_order(std::span<const stream::Tuple> tuples,
   return next_seq;
 }
 
-void WindowTracker::ArrivalLog::keep_newest(std::size_t n) {
-  if (size_ <= n) return;
-  const std::size_t drop = size_ - n;
-  head_ = (head_ + drop) & (ring_.size() - 1);
-  first_ += drop;
-  size_ = n;
-}
-
-void WindowTracker::ArrivalLog::grow() {
-  std::vector<std::uint64_t> bigger(
-      std::max<std::size_t>(64, 2 * ring_.size()));
-  for (std::size_t i = 0; i < size_; ++i) {
-    bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
-  }
-  ring_ = std::move(bigger);
-  head_ = 0;
-}
-
-void WindowTracker::start_epoch() {
-  // Probes of the new epoch saw at least the arrivals counted so far, so
-  // no later check reads further back than W arrivals per stream.
-  r_.keep_newest(window_);
-  s_.keep_newest(window_);
-  epoch_.clear();
-  checked_ = false;
-}
-
 }  // namespace hal::cluster

@@ -38,13 +38,17 @@
 // keeps only each stream's last W arrival seqs plus the current epoch's
 // arrivals — O(W + epoch) state however long the run — and the
 // coordinators reject an input whose seqs do not strictly increase
-// (check_arrival_order) before they change any state.
+// (check_arrival_order) before they change any state. For the same
+// reason workers must emit every result in its probe's epoch, which rules
+// out multi-core handshake and bi-flow chains (see
+// emits_results_in_probe_epoch in cluster_engine.h).
 // Subset guarantee + superset filter ⇒ byte-identical result multisets to
 // the single-node oracle.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -246,15 +250,16 @@ class WindowTracker {
   void observe(const stream::Tuple& t) {
     if (checked_) start_epoch();
     const bool is_r = t.origin == stream::StreamId::R;
-    epoch_.push_back({t.seq, (is_r ? s_ : r_).arrivals()});
+    epoch_.push_back({t.seq, (is_r ? s_ : r_).arrivals});
     (is_r ? r_ : s_).push(t.seq);
   }
 
   // True iff the earlier tuple of the pair was still inside the later
   // (probing) tuple's opposite-stream window of `window` tuples when the
   // probe arrived — the reference oracle's probe-then-insert semantics.
-  // The probe must be an arrival of the current epoch, and `window` the
-  // same on every call.
+  // `window` must be the same on every call. The probe must be an arrival
+  // of the current epoch; a result that probes an earlier one (a worker
+  // that emits pairs after their probe's epoch) throws PreconditionError.
   [[nodiscard]] bool pair_in_window(const stream::ResultTuple& result,
                                     std::size_t window) {
     if (window != window_) {
@@ -269,8 +274,10 @@ class WindowTracker {
     const auto it = std::partition_point(
         epoch_.begin(), epoch_.end(),
         [probe](const Arrival& a) { return a.seq < probe; });
-    HAL_ASSERT_MSG(it != epoch_.end() && it->seq == probe,
-                   "result probes a tuple outside the epoch being filtered");
+    HAL_CHECK(it != epoch_.end() && it->seq == probe,
+              "result probes a tuple outside the epoch being filtered; the "
+              "exact-global filter needs workers that emit every pair in its "
+              "probe's epoch");
     if (it->before_other <= window_) return true;
     return stored >= (r_probes ? s_ : r_).seq_of(it->before_other - window_);
   }
@@ -278,39 +285,31 @@ class WindowTracker {
   // Arrival seqs held: at most 2W plus the current epoch's arrivals once a
   // pair check has fixed W, and independent of the run's length.
   [[nodiscard]] std::size_t retained() const noexcept {
-    return r_.size() + s_.size();
+    return r_.seqs.size() + s_.seqs.size();
   }
 
  private:
-  // One stream's newest arrival seqs, oldest first, in a ring whose size
-  // is a power of two: the stream's arrival number `first_ + i` (0-based)
-  // sits at ring index (head_ + i) mod the ring size.
-  class ArrivalLog {
-   public:
+  // One stream's newest arrival seqs, oldest first, and its arrival count.
+  struct ArrivalLog {
+    std::deque<std::uint64_t> seqs;
+    std::uint64_t arrivals = 0;  // of this stream so far
+
     void push(std::uint64_t seq) {
-      if (size_ == ring_.size()) grow();
-      ring_[(head_ + size_) & (ring_.size() - 1)] = seq;
-      ++size_;
+      seqs.push_back(seq);
+      ++arrivals;
     }
-    // Seq of arrival number `n`, which must still be held.
+    // Seq of arrival number `n` (0-based), which must still be held.
     [[nodiscard]] std::uint64_t seq_of(std::uint64_t n) const {
-      HAL_ASSERT(n >= first_ && n - first_ < size_);
-      return ring_[(head_ + (n - first_)) & (ring_.size() - 1)];
+      const std::uint64_t first = arrivals - seqs.size();
+      HAL_ASSERT(n >= first && n < arrivals);
+      return seqs[n - first];
     }
-    void keep_newest(std::size_t n);
-    // Arrivals of this stream so far.
-    [[nodiscard]] std::uint64_t arrivals() const noexcept {
-      return first_ + size_;
+    void keep_newest(std::size_t n) {
+      if (seqs.size() > n) {
+        seqs.erase(seqs.begin(),
+                   seqs.end() - static_cast<std::ptrdiff_t>(n));
+      }
     }
-    [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
-   private:
-    void grow();
-
-    std::vector<std::uint64_t> ring_;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
-    std::uint64_t first_ = 0;
   };
 
   struct Arrival {
@@ -318,7 +317,14 @@ class WindowTracker {
     std::uint64_t before_other;  // other-stream arrivals strictly before
   };
 
-  void start_epoch();
+  void start_epoch() {
+    // Probes of the new epoch saw at least the arrivals counted so far, so
+    // no later check reads further back than W arrivals per stream.
+    r_.keep_newest(window_);
+    s_.keep_newest(window_);
+    epoch_.clear();
+    checked_ = false;
+  }
 
   ArrivalLog r_;
   ArrivalLog s_;

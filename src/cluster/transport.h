@@ -50,9 +50,7 @@ struct LinkParams {
   // the pre-guard behavior: retry forever (backpressure, never loss). A
   // bounded budget turns a wedged consumer (partitioned TCP peer, dead
   // worker behind a full queue) from an epoch-long stall into a counted
-  // send failure the cluster can fail over from. The cluster applies the
-  // same budget to a net-backed wire that goes down after accepting an
-  // epoch's batches (see ClusterEngine::collect_slot).
+  // send failure the cluster can fail over from.
   double send_budget_us = 0.0;
   // After this many *consecutive* budget-exhausted sends the breaker
   // opens: every later send fails fast (one counted drop, no waiting)
@@ -169,12 +167,6 @@ class Link {
     net_rx_ = rx;
   }
   [[nodiscard]] bool net_backed() const noexcept { return net_tx_ != nullptr; }
-  // Producer side: the net-backed wire is disconnected or mid-handshake,
-  // so batches it already accepted are not reaching the consumer. Always
-  // false for an in-process link.
-  [[nodiscard]] bool wire_down() const {
-    return net_tx_ != nullptr && !net_tx_->connected();
-  }
 
   // Blocking send with backpressure accounting; stamps the delivery
   // deadline but never sleeps for pacing itself (the receiver pays the

@@ -160,7 +160,9 @@ SwMeasurement measure_sw_throughput(const EngineConfig& cfg,
 
   // Warm the windows to steady state. Handshake chains bind the window to
   // the flow, so their warmup streams through the untimed path; everything
-  // else takes the state-injection shortcut.
+  // else takes the state-injection shortcut. (A facade cluster filters for
+  // the exact global window, so its handshake workers are one-core chains;
+  // make_engine rejects more cores.)
   auto fill = steady_state_fill(run_cfg.window_size, opts.key_domain,
                                 opts.seed + 1000);
   const bool handshake =

@@ -422,6 +422,82 @@ TEST(ClusterEngine, ExactGlobalTrackerStateStaysWindowBounded) {
   if (!gauge_seen) GTEST_SKIP() << "HAL_OBS=0: the bound is a metric";
 }
 
+// Exact-global filtering counts arrivals for the current epoch only, so
+// the cluster refuses workers that emit a pair after its probe's epoch: a
+// multi-core handshake or bi-flow chain finds a cross-core pair only when
+// a later arrival hands one of its tuples over.
+TEST(ClusterEngine, ExactGlobalRejectsWorkersThatEmitAfterTheProbeEpoch) {
+  ClusterConfig cfg = base_config();
+  cfg.partitioning = Partitioning::kKeyHash;
+  cfg.shards = 2;
+  cfg.worker.backend = Backend::kSwHandshake;
+  cfg.worker.num_cores = 4;
+  EXPECT_THROW(ClusterEngine{cfg}, PreconditionError);
+
+  ClusterConfig mixed = base_config();
+  mixed.partitioning = Partitioning::kKeyHash;
+  mixed.shards = 2;
+  mixed.worker_overrides.resize(2, mixed.worker);
+  mixed.worker_overrides[1].backend = Backend::kHwBiflow;
+  mixed.worker_overrides[1].num_cores = 2;
+  EXPECT_THROW(ClusterEngine{mixed}, PreconditionError);
+
+  core::EngineConfig facade;  // facade defaults: 4 cores, exact-global
+  facade.backend = Backend::kCluster;
+  facade.cluster_worker_backend = Backend::kSwHandshake;
+  facade.window_size = 64;
+  EXPECT_THROW((void)core::make_engine(facade), PreconditionError);
+}
+
+// A one-core chain scans its whole window on entry, so it stays a valid
+// exact-global worker across epochs.
+TEST(ClusterEngine, SingleCoreHandshakeWorkersStayExactAcrossEpochs) {
+  ClusterConfig cfg = base_config();
+  cfg.partitioning = Partitioning::kKeyHash;
+  cfg.shards = 2;
+  cfg.worker.backend = Backend::kSwHandshake;
+  cfg.worker.num_cores = 1;
+  ClusterEngine engine(cfg);
+
+  const auto tuples = workload(640, 43, 8);
+  for (std::size_t lo = 0; lo < tuples.size(); lo += 16) {
+    engine.process({tuples.begin() + static_cast<std::ptrdiff_t>(lo),
+                    tuples.begin() + static_cast<std::ptrdiff_t>(lo + 16)});
+  }
+  ReferenceJoin oracle(cfg.window_size, cfg.spec);
+  EXPECT_EQ(normalize(engine.take_results()),
+            normalize(oracle.process_all(tuples)));
+}
+
+// Partitioned-local windows apply no merge filter, so 4-core handshake
+// workers run there across many epochs — and do emit pairs whose probe
+// arrived in an earlier epoch, which is why exact-global mode refuses them.
+TEST(ClusterEngine, MultiCoreHandshakeWorkersRunPartitionedLocalAcrossEpochs) {
+  ClusterConfig cfg = base_config();
+  cfg.partitioning = Partitioning::kKeyHash;
+  cfg.window_mode = WindowMode::kPartitionedLocal;
+  cfg.shards = 2;
+  cfg.window_size = 128;  // 64 per shard, 16 per core
+  cfg.worker.backend = Backend::kSwHandshake;
+  cfg.worker.num_cores = 4;
+  ClusterEngine engine(cfg);
+
+  const auto tuples = workload(1600, 47, 8);
+  std::vector<ResultTuple> results;
+  std::size_t late = 0;
+  for (std::size_t lo = 0; lo < tuples.size(); lo += 16) {
+    engine.process({tuples.begin() + static_cast<std::ptrdiff_t>(lo),
+                    tuples.begin() + static_cast<std::ptrdiff_t>(lo + 16)});
+    for (const ResultTuple& rt : engine.take_results()) {
+      if (std::max(rt.r.seq, rt.s.seq) < tuples[lo].seq) ++late;
+      results.push_back(rt);
+    }
+  }
+  ASSERT_FALSE(results.empty());
+  EXPECT_GT(late, 0u);
+  for (const ResultTuple& rt : results) EXPECT_EQ(rt.r.key, rt.s.key);
+}
+
 TEST(ClusterRouter, WindowTrackerMatchesReferenceSemantics) {
   WindowTracker tracker;
   std::vector<Tuple> tuples;
@@ -438,6 +514,27 @@ TEST(ClusterRouter, WindowTrackerMatchesReferenceSemantics) {
   ResultTuple evicted{tuples[2], tuples[7]};
   EXPECT_TRUE(tracker.pair_in_window(in_window, 2));
   EXPECT_FALSE(tracker.pair_in_window(evicted, 2));
+}
+
+// Remote workers are configured apart from the coordinator, so a late
+// result is reported as a precondition failure, not an abort.
+TEST(ClusterRouter, WindowTrackerRejectsAProbeFromAnEarlierEpoch) {
+  WindowTracker tracker;
+  std::vector<Tuple> tuples;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    Tuple t;
+    t.key = 1;
+    t.seq = i;
+    t.origin = (i % 2 == 0) ? stream::StreamId::R : stream::StreamId::S;
+    tuples.push_back(t);
+  }
+  for (std::size_t i = 0; i < 4; ++i) tracker.observe(tuples[i]);
+  EXPECT_TRUE(tracker.pair_in_window(ResultTuple{tuples[2], tuples[3]}, 4));
+  for (std::size_t i = 4; i < 8; ++i) tracker.observe(tuples[i]);
+  EXPECT_TRUE(tracker.pair_in_window(ResultTuple{tuples[4], tuples[7]}, 4));
+  EXPECT_THROW((void)tracker.pair_in_window(
+                   ResultTuple{tuples[0], tuples[3]}, 4),
+               PreconditionError);
 }
 
 // WindowTracker against a brute-force per-stream prefix-count oracle:

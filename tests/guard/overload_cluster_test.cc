@@ -350,40 +350,5 @@ TEST(BreakerFailover, NoReplicaDegradesCleanlyInsteadOfWedging) {
                             produced.begin(), produced.end()));
 }
 
-// Epochs smaller than one batch give each worker exactly one ingress
-// frame per epoch, so the partition strikes the third epoch's only frame
-// after the wire accepted it: no send of that epoch is left to exhaust
-// the budget. The wait for the worker's results runs on the same budget
-// and fails over instead of waiting out the partition.
-TEST(BreakerFailover, PartitionAfterTheEpochsLastBatchFailsOver) {
-  ClusterConfig cfg = base_config(2);
-  cfg.replicas = 2;
-  cfg.transport.link_transport = net::TransportKind::kTcp;
-  cfg.transport.net_window_frames = 4;
-  cfg.transport.ingress.send_budget_us = 100000.0;  // margin: see above
-  cfg.transport.ingress.breaker_trip_failures = 1;
-  cfg.transport.net_fault.partition_after_frames = 2;
-  cfg.transport.net_fault.partition_seconds = 60.0;
-  cfg.transport.net_fault_workers = {0};
-
-  const auto all = workload(48, 61);
-  const auto epochs = chunked(all, 6);
-  ASSERT_LE(epochs.back().size(), cfg.transport.batch_size);
-  ClusterEngine engine(cfg);
-  std::vector<stream::ResultTuple> got;
-  for (const auto& chunk : epochs) {
-    (void)engine.process(chunk);
-    auto r = engine.take_results();
-    got.insert(got.end(), r.begin(), r.end());
-  }
-  ReferenceJoin oracle(cfg.window_size, cfg.spec);
-  EXPECT_EQ(normalize(got), normalize(oracle.process_all(all)));
-
-  const ClusterReport rep = engine.report();
-  EXPECT_GE(rep.failovers, 1u);
-  EXPECT_FALSE(rep.degraded);
-  EXPECT_EQ(rep.lost_tuples, 0u);
-}
-
 }  // namespace
 }  // namespace hal::guard

@@ -60,7 +60,9 @@ struct RemoteRun {
 // Spins up in-thread workers, runs `epochs` epochs of the workload
 // through a RemoteCoordinator, tears everything down.
 RemoteRun run_remote(net::TransportKind kind, RemoteClusterConfig cfg,
-                     const std::vector<std::vector<Tuple>>& epochs) {
+                     const std::vector<std::vector<Tuple>>& epochs,
+                     Backend backend = Backend::kSwSplitJoin,
+                     std::uint32_t num_cores = 1) {
   cfg.transport = kind;
   std::unique_ptr<net::Transport> hub;
   if (kind == net::TransportKind::kLoopback) {
@@ -80,8 +82,8 @@ RemoteRun run_remote(net::TransportKind kind, RemoteClusterConfig cfg,
     w.transport = kind;
     w.listen_address = fresh_address(kind, static_cast<int>(i));
     w.node_id = i;
-    w.engine.backend = Backend::kSwSplitJoin;
-    w.engine.num_cores = 1;
+    w.engine.backend = backend;
+    w.engine.num_cores = num_cores;
     w.engine.window_size = remote_worker_window_size(cfg);
     w.engine.spec = cfg.spec;
     w.batch_size = cfg.batch_size;
@@ -191,6 +193,24 @@ INSTANTIATE_TEST_SUITE_P(Transports, RemoteClusterTest,
                          [](const auto& info) {
                            return std::string(net::to_string(info.param));
                          });
+
+// A remote worker is configured apart from its coordinator, which thus
+// cannot refuse a multi-core handshake chain up front: the first result
+// the chain emits after its probe's epoch fails that epoch with
+// PreconditionError instead of aborting the process.
+TEST(RemoteClusterPreconditions, LateResultsOfAMultiCoreChainAreRejected) {
+  const auto tuples = workload(960, 61);
+  std::vector<std::vector<Tuple>> epochs;
+  for (std::size_t lo = 0; lo < tuples.size(); lo += 16) {
+    epochs.emplace_back(tuples.begin() + static_cast<std::ptrdiff_t>(lo),
+                        tuples.begin() + static_cast<std::ptrdiff_t>(lo + 16));
+  }
+  RemoteClusterConfig cfg = base_remote_config();
+  cfg.shards = 2;
+  const RemoteRun run = run_remote(net::TransportKind::kLoopback, cfg, epochs,
+                                   Backend::kSwHandshake, 4);
+  EXPECT_GT(run.rejected_epochs, 0u);
+}
 
 TEST(RemoteClusterFaults, WireFaultsDoNotChangeResults) {
   const auto tuples = workload(800, 55);
