@@ -19,10 +19,10 @@
 //      claimed: on this single-CPU host time-shared threads flatten
 //      parallel speedup (the Fig. 14d substitution note), and in
 //      exact-global mode a sharded worker's count-based window spans
-//      ~shards× the global seq range, so a hot self-joining key emits
-//      ~shards× candidate pairs for the merger to filter — an
+//      ~shards× the global seq range, so a hot self-joining key finds
+//      ~shards× candidate pairs for the workers to drop — an
 //      amplification no routing policy can remove (it would take
-//      seq-horizon eviction inside the workers; see ROADMAP).
+//      arrival-masked probing inside the workers; see ROADMAP).
 //
 // Emits BENCH_elastic.json. Deterministic workloads; --seed replays.
 #include <algorithm>

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <limits>
 #include <span>
+#include <utility>
 
 #include "common/assert.h"
 #include "common/backoff.h"
@@ -36,16 +37,16 @@ std::size_t worker_window_size(const ClusterConfig& cfg) {
       return w / cfg.shards;
     }
     // Exact-global: in the worst case every windowed tuple of a stream
-    // hashes to one shard, so each worker must hold the full W; the
-    // merger's window filter discards the stale surplus.
+    // hashes to one shard, so each worker must hold the full W and drops
+    // the stale surplus against the router's horizons.
     return w;
   }
   HAL_CHECK(w % cfg.grid_rows == 0 && w % cfg.grid_cols == 0,
             "window_size must be a multiple of both grid dimensions");
   // Round-robin row/column slicing gives worker (i, j) every grid_rows-th
   // R tuple and every grid_cols-th S tuple; a shared engine window of the
-  // larger slice never misses a global-window partner (the smaller side's
-  // surplus is filtered by the merger; square grids are exact as-is).
+  // larger slice never misses a global-window partner (the workers drop
+  // the smaller side's surplus; square grids are exact as-is).
   return std::max(w / cfg.grid_rows, w / cfg.grid_cols);
 }
 
@@ -55,14 +56,6 @@ bool emits_results_in_probe_epoch(const core::EngineConfig& worker) {
   return !chain || worker.num_cores <= 1;
 }
 
-namespace {
-
-[[nodiscard]] std::uint64_t probe_seq(const ResultTuple& t) noexcept {
-  return t.r.seq > t.s.seq ? t.r.seq : t.s.seq;
-}
-
-}  // namespace
-
 ClusterEngine::ClusterEngine(const ClusterConfig& cfg)
     : cfg_(cfg),
       router_(cfg.partitioning,
@@ -70,6 +63,7 @@ ClusterEngine::ClusterEngine(const ClusterConfig& cfg)
               cfg.partitioning == Partitioning::kKeyHash ? cfg.shards
                                                          : cfg.grid_cols),
       placement_(cfg.placement, CpuTopology::discover()),
+      horizons_(cfg.window_size),
       guard_(cfg.guard) {
   HAL_CHECK(cfg_.replicas >= 1, "need at least one replica per shard slot");
   HAL_CHECK(cfg_.transport.batch_size >= 1, "batch_size must be positive");
@@ -101,6 +95,7 @@ ClusterEngine::ClusterEngine(const ClusterConfig& cfg)
 
   const std::uint32_t slots = router_.num_slots();
   slot_staging_.resize(slots);
+  slot_stamps_.resize(slots);
   slot_epoch_tuples_.assign(slots, 0);
   active_replica_.assign(slots, 0);
   slot_retired_.assign(slots, 0);
@@ -340,6 +335,7 @@ bool ClusterEngine::consume(Worker& w, TupleBatch batch, bool replaying) {
     w.data_batches_in.fetch_add(1, std::memory_order_relaxed);
     ++w.epoch_batches;
     w.tuples_in.fetch_add(batch.tuples.size(), std::memory_order_relaxed);
+    w.filter.observe(batch.tuples, batch.stamps);
     if (!replaying) wait_until(batch.deliver_at_us);  // modeled wire time
     Timer busy;
     if (w.slow_remaining > 0) {
@@ -366,11 +362,12 @@ bool ClusterEngine::consume(Worker& w, TupleBatch batch, bool replaying) {
         std::memory_order_relaxed);
     w.results_out.fetch_add(inner.results_emitted,
                             std::memory_order_relaxed);
-    w.staged.insert(w.staged.end(), fresh.begin(), fresh.end());
+    w.staged_dropped += w.filter.keep_in_window(fresh, w.staged);
     if (!batch.end_of_epoch &&
         w.staged.size() >= cfg_.transport.batch_size) {
       ResultBatch out;
       out.epoch = batch.epoch;
+      out.dropped = std::exchange(w.staged_dropped, 0);
       out.results = std::move(w.staged);
       w.staged.clear();
       const auto n = static_cast<std::uint64_t>(out.results.size());
@@ -384,6 +381,7 @@ bool ClusterEngine::consume(Worker& w, TupleBatch batch, bool replaying) {
 
   if (batch.end_of_epoch) {
     w.epoch_batches = 0;
+    w.filter.clear();
     // Checkpoint before the end-of-epoch send: once the main thread has
     // merged an epoch, the matching image is already published, which is
     // what makes replay-log truncation at the next process() sound.
@@ -391,6 +389,7 @@ bool ClusterEngine::consume(Worker& w, TupleBatch batch, bool replaying) {
     ResultBatch out;
     out.epoch = batch.epoch;
     out.end_of_epoch = true;
+    out.dropped = std::exchange(w.staged_dropped, 0);
     out.results = std::move(w.staged);
     w.staged.clear();
     const auto n = static_cast<std::uint64_t>(out.results.size());
@@ -572,7 +571,10 @@ void ClusterEngine::recover(Worker& w) {
   } else {
     w.replay = std::move(delta);
     w.replay_floor = floor;
-    w.staged.clear();  // the dead incarnation's partial epoch is discarded
+    // The dead incarnation's partial epoch is discarded.
+    w.staged.clear();
+    w.staged_dropped = 0;
+    w.filter.clear();
     w.dropped.store(false, std::memory_order_release);
   }
   w.dead.store(false, std::memory_order_relaxed);
@@ -601,14 +603,17 @@ void ClusterEngine::merger_loop() {
               // the replica's complete epoch (or accounted loss) replaces
               // it.
               m.pending.clear();
+              m.pending_dropped = 0;
               m.died.store(true, std::memory_order_release);
               continue;
             }
             m.pending.insert(m.pending.end(), batch.results.begin(),
                              batch.results.end());
+            m.pending_dropped += batch.dropped;
             if (batch.end_of_epoch) {
               m.completed = std::move(m.pending);
               m.pending.clear();
+              m.completed_dropped = std::exchange(m.pending_dropped, 0);
               m.last_deliver_at_us = batch.deliver_at_us;
               m.completed_epoch.store(batch.epoch, std::memory_order_release);
             }
@@ -619,6 +624,7 @@ void ClusterEngine::merger_loop() {
           // the same containment as a worker obituary.
           MergeSlot& m = *merge_[w->index];
           m.pending.clear();
+          m.pending_dropped = 0;
           m.died.store(true, std::memory_order_release);
         }
       }
@@ -634,6 +640,7 @@ void ClusterEngine::merger_loop() {
 
 void ClusterEngine::flush_slot(std::uint32_t slot, bool end_of_epoch) {
   auto& staging = slot_staging_[slot];
+  auto& stamps = slot_stamps_[slot];
   if (staging.empty() && !end_of_epoch) return;
   for (std::uint32_t rep = 0; rep < cfg_.replicas; ++rep) {
     Worker& w = *workers_[slot * cfg_.replicas + rep];
@@ -641,6 +648,7 @@ void ClusterEngine::flush_slot(std::uint32_t slot, bool end_of_epoch) {
     batch.epoch = epoch_;
     batch.end_of_epoch = end_of_epoch;
     batch.tuples = staging;  // replicas each get their own copy
+    batch.stamps = stamps;
     const auto n = static_cast<std::uint64_t>(batch.tuples.size());
     if (w.inbox.breaker_open() || !w.inbox.send(std::move(batch), now_us(), n)) {
       // The worker's ingress wire is gone (budget exhausted / breaker
@@ -650,6 +658,7 @@ void ClusterEngine::flush_slot(std::uint32_t slot, bool end_of_epoch) {
     }
   }
   staging.clear();
+  stamps.clear();
 }
 
 void ClusterEngine::collect_slot(std::uint32_t slot,
@@ -696,12 +705,14 @@ void ClusterEngine::collect_slot(std::uint32_t slot,
   MergeSlot& m = *merge_[base + static_cast<std::uint32_t>(chosen)];
   wait_until(m.last_deliver_at_us);  // modeled egress latency
   out.insert(out.end(), m.completed.begin(), m.completed.end());
+  filtered_results_ += m.completed_dropped;
   for (std::uint32_t rep = 0; rep < cfg_.replicas; ++rep) {
     merge_[base + rep]->completed.clear();
   }
 }
 
 core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
+  const std::uint64_t epoch_first_seq = next_seq_;
   next_seq_ = check_arrival_order(tuples, next_seq_);
   ++epoch_;
   std::fill(slot_epoch_tuples_.begin(), slot_epoch_tuples_.end(), 0);
@@ -717,9 +728,9 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
   }
   Timer wall;
 
-  // Guarded ingress (hal::guard): shed BEFORE the exact-global tracker
-  // and the router, so a shed tuple reaches no window anywhere in the
-  // cluster and the output is exactly the reference join of
+  // Guarded ingress (hal::guard): shed BEFORE the exact-global horizon
+  // stamps and the router, so a shed tuple reaches no window anywhere in
+  // the cluster and the output is exactly the reference join of
   // (input − shed log). Disabled guards cost one branch per epoch.
   const std::vector<Tuple>* input = &tuples;
   if constexpr (guard::kEnabled) {
@@ -734,11 +745,13 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
 
   // Batched ingress: the whole epoch routes as one span (one virtual-free
   // pass, no per-tuple scratch vector), so the router amortizes its
-  // per-tuple dispatch the way the engines do. The tracker's epoch log is
-  // pre-sized for the span; its per-stream logs keep the last W arrivals.
-  if (cfg_.window_mode == WindowMode::kExactGlobal) {
-    tracker_.reserve(input->size());
-    for (const Tuple& t : *input) tracker_.observe(t);
+  // per-tuple dispatch the way the engines do. Exact-global tuples travel
+  // with their horizons, stamped in arrival order first; route_span hands
+  // back references into the span, which index the stamps.
+  const bool exact = cfg_.window_mode == WindowMode::kExactGlobal;
+  if (exact) {
+    stamps_.clear();
+    for (const Tuple& t : *input) stamps_.push_back(horizons_.stamp(t));
   }
   router_.route_span(
       std::span<const Tuple>(*input), [&](const Tuple& t, std::uint32_t slot) {
@@ -746,6 +759,10 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
         ++slot_epoch_tuples_[slot];
         auto& staging = slot_staging_[slot];
         staging.push_back(t);
+        if (exact) {
+          slot_stamps_[slot].push_back(
+              stamps_[static_cast<std::size_t>(&t - input->data())]);
+        }
         if (staging.size() >= cfg_.transport.batch_size) {
           flush_slot(slot, false);
         }
@@ -759,13 +776,11 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
     if (!slot_retired_[slot]) collect_slot(slot, epoch_results);
   }
 
-  if (cfg_.window_mode == WindowMode::kExactGlobal) {
-    const auto before = epoch_results.size();
-    std::erase_if(epoch_results, [this](const ResultTuple& rt) {
-      return !tracker_.pair_in_window(rt, cfg_.window_size);
-    });
-    filtered_results_ += before - epoch_results.size();
-  }
+  // The workers dropped the stale pairs; the constructor's rejection of
+  // late emitters guarantees every result probes this epoch.
+  HAL_ASSERT_MSG(!exact || probes_in_epoch(epoch_results, epoch_first_seq),
+                 "an exact-global worker emitted a pair after its probe's "
+                 "epoch");
   // Deterministic, order-preserving emission: by probing-tuple arrival,
   // then by stored-tuple arrival — the gathering-network contract.
   std::sort(epoch_results.begin(), epoch_results.end(),
@@ -803,7 +818,9 @@ void ClusterEngine::prefill(const std::vector<Tuple>& tuples) {
   // inbox traffic publishes the writes to the worker threads.
   std::vector<std::vector<Tuple>> per_slot(slot_count());
   for (const Tuple& t : tuples) {
-    if (cfg_.window_mode == WindowMode::kExactGlobal) tracker_.observe(t);
+    if (cfg_.window_mode == WindowMode::kExactGlobal) {
+      (void)horizons_.stamp(t);  // prefill emits no pairs to filter
+    }
     router_.route(t, scratch_slots_);
     for (const std::uint32_t slot : scratch_slots_) {
       per_slot[slot].push_back(t);
@@ -841,6 +858,7 @@ std::uint32_t ClusterEngine::add_slot() {
             "elastic topology changes require key-hash partitioning");
   const std::uint32_t slot = slot_count();
   slot_staging_.emplace_back();
+  slot_stamps_.emplace_back();
   slot_epoch_tuples_.push_back(0);
   active_replica_.push_back(0);
   slot_retired_.push_back(0);
@@ -977,6 +995,8 @@ void ClusterEngine::rebuild_slot(std::uint32_t slot,
     w.engine = core::make_engine(w.engine_cfg);
     if (!window.empty()) w.engine->prefill(window);
     w.staged.clear();
+    w.staged_dropped = 0;
+    w.filter.clear();
     w.epoch_batches = 0;
     // The rebuilt window is the slot's complete state: a replica that was
     // dead (unsupervised) or unrecoverable is healthy again from here on.
@@ -1151,11 +1171,11 @@ void ClusterEngine::collect_metrics(obs::MetricRegistry& registry,
                        obs::Stability::kRuntime);
   registry.set_gauge(prefix + "elapsed_seconds", rep.elapsed_seconds,
                      obs::Stability::kRuntime);
-  // Exact-global merge-filter state: at most 2W plus the current epoch's
-  // arrivals. It follows which tuples were admitted and which epochs had
-  // raw results to check, so only the guard's timing makes it racy.
+  // Exact-global horizon state: each stream's last W admitted arrivals,
+  // at most 2W. It follows which tuples were admitted, so only the
+  // guard's timing makes it racy.
   registry.set_gauge(prefix + "tracker.retained_arrivals",
-                     static_cast<double>(tracker_.retained()),
+                     static_cast<double>(horizons_.retained()),
                      rep.guard_enabled ? obs::Stability::kRuntime
                                        : obs::Stability::kDeterministic);
   // hal::guard: admission totals depend on the latch's timing history and
@@ -1185,8 +1205,8 @@ void ClusterEngine::collect_metrics(obs::MetricRegistry& registry,
     const std::string wp =
         prefix + "worker." + std::to_string(wr.index) + ".";
     // A worker's raw emissions are only reproducible when its inner
-    // engine's are; the threaded handshake chain races (the exact-global
-    // merge filter restores determinism cluster-wide, not per worker).
+    // engine's are; the threaded handshake chain races (exact-global mode
+    // admits only its one-core form, which does not).
     const obs::Stability emit_stability =
         wr.backend == core::Backend::kSwHandshake
             ? obs::Stability::kRuntime

@@ -16,9 +16,10 @@
 //              inner engine, pushes result batches. Replication factor
 //              ≥ 2 runs hot replicas per shard slot for failover.
 //   merger   — the cluster-level gathering node: drains every worker's
-//              egress link, reassembles per-epoch result sets, and (with
-//              WindowMode::kExactGlobal) filters stale pairs so the
-//              cluster's output multiset is byte-identical to the
+//              egress link and reassembles per-epoch result sets. With
+//              WindowMode::kExactGlobal the workers have already dropped
+//              the stale pairs against the router's per-tuple horizons,
+//              so the cluster's output multiset is byte-identical to the
 //              single-node reference oracle. Results are emitted in a
 //              deterministic order (by probing-tuple arrival).
 //
@@ -168,9 +169,9 @@ struct ClusterConfig {
   PlacementConfig placement;
   // SLO-bounded admission at the cluster ingress (hal::guard): tuples are
   // shed — with exact accounting — before routing and before the
-  // exact-global tracker, so the guarded output equals the reference
-  // join of (input − shed log). Off by default; with guard.enabled false
-  // the hot path pays one branch per epoch.
+  // exact-global horizon stamps, so the guarded output equals the
+  // reference join of (input − shed log). Off by default; with
+  // guard.enabled false the hot path pays one branch per epoch.
   guard::GuardConfig guard;
 };
 
@@ -184,8 +185,8 @@ struct ClusterConfig {
 // True iff an engine built from `worker` emits every result during the
 // process() call that delivers its probe. A multi-core chain (kSwHandshake,
 // kHwBiflow) finds a cross-core pair only when a later arrival hands one
-// of its tuples over, often in a later epoch. The exact-global merge
-// filter counts arrivals for the current epoch only, so that mode rejects
+// of its tuples over, often in a later epoch. An exact-global worker keeps
+// its arrivals' horizons for the current epoch only, so that mode rejects
 // such workers at construction.
 [[nodiscard]] bool emits_results_in_probe_epoch(
     const core::EngineConfig& worker);
@@ -219,7 +220,8 @@ struct ClusterReport {
   std::uint64_t input_tuples = 0;   // tuples offered to process()
   std::uint64_t routed_tuples = 0;  // tuple-sends incl. grid replication
   std::uint64_t merged_results = 0;
-  // Stale pairs removed by the exact-global window filter.
+  // Stale pairs the exact-global workers dropped (counted per completed
+  // epoch of the replica whose results were merged).
   std::uint64_t filtered_results = 0;
   std::uint64_t failovers = 0;
   std::uint64_t lost_tuples = 0;  // routed to a dead, replica-less slot
@@ -389,6 +391,8 @@ class ClusterEngine final : public core::StreamJoinEngine {
     std::atomic<std::uint64_t> data_batches_in{0};
     std::atomic<double> busy_seconds{0.0};
     std::vector<stream::ResultTuple> staged;  // results awaiting egress
+    std::uint64_t staged_dropped = 0;  // stale pairs since the last send
+    StaleFilter filter;  // this epoch's arrival horizons (exact-global)
     std::atomic<bool> dropped{false};
 
     // This worker's merge slot (heap-stable; set before the thread
@@ -463,6 +467,8 @@ class ClusterEngine final : public core::StreamJoinEngine {
   struct MergeSlot {
     std::vector<stream::ResultTuple> pending;
     std::vector<stream::ResultTuple> completed;
+    std::uint64_t pending_dropped = 0;  // the workers' stale-pair counts
+    std::uint64_t completed_dropped = 0;
     double last_deliver_at_us = 0.0;
     std::atomic<std::uint64_t> completed_epoch{0};
     std::atomic<bool> died{false};
@@ -508,8 +514,8 @@ class ClusterEngine final : public core::StreamJoinEngine {
   ClusterConfig cfg_;
   Router router_;
   PlacementPolicy placement_;
-  WindowTracker tracker_;  // used iff window_mode == kExactGlobal
-  Timer timer_;            // cluster clock: µs since construction
+  HorizonStamper horizons_;  // used iff window_mode == kExactGlobal
+  Timer timer_;              // cluster clock: µs since construction
   guard::AdmissionGuard guard_;          // cluster-ingress admission
   std::vector<stream::Tuple> admitted_;  // guard scratch, reused per epoch
 
@@ -538,6 +544,8 @@ class ClusterEngine final : public core::StreamJoinEngine {
   std::uint64_t epoch_ = 0;
   std::uint64_t next_seq_ = 0;  // least seq the next arrival may carry
   std::vector<std::vector<stream::Tuple>> slot_staging_;
+  std::vector<std::vector<std::uint64_t>> slot_stamps_;  // beside staging
+  std::vector<std::uint64_t> stamps_;  // per admitted tuple, this epoch
   std::vector<std::uint64_t> slot_epoch_tuples_;
   std::vector<std::uint32_t> active_replica_;
   std::vector<std::uint8_t> slot_retired_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 #include "cluster/cluster_engine.h"
 #include "common/assert.h"
@@ -12,14 +13,6 @@ namespace hal::cluster {
 using stream::ResultTuple;
 using stream::StreamId;
 using stream::Tuple;
-
-namespace {
-
-[[nodiscard]] std::uint64_t probe_seq(const ResultTuple& t) noexcept {
-  return t.r.seq > t.s.seq ? t.r.seq : t.s.seq;
-}
-
-}  // namespace
 
 RemoteWorkerReport serve_worker(const RemoteWorkerOptions& opts) {
   std::unique_ptr<net::Transport> owned;
@@ -40,6 +33,8 @@ RemoteWorkerReport serve_worker(const RemoteWorkerOptions& opts) {
   auto engine = core::make_engine(opts.engine);
   RemoteWorkerReport rep;
   std::vector<ResultTuple> staged;
+  std::uint64_t staged_dropped = 0;
+  StaleFilter filter;
   std::uint64_t epoch_r = 0;
   std::uint64_t epoch_s = 0;
   std::uint64_t current_epoch = 0;
@@ -48,6 +43,7 @@ RemoteWorkerReport serve_worker(const RemoteWorkerOptions& opts) {
     net::ResultBatchMsg out;
     out.epoch = current_epoch;
     out.end_of_epoch = end_of_epoch;
+    out.dropped = std::exchange(staged_dropped, 0);
     out.results = std::move(staged);
     staged.clear();
     HAL_CHECK(conn->send_msg(net::MsgType::kResultBatch, out, 60.0),
@@ -68,6 +64,7 @@ RemoteWorkerReport serve_worker(const RemoteWorkerOptions& opts) {
         current_epoch = msg.epoch;
         ++rep.batches_in;
         rep.tuples_in += msg.tuples.size();
+        filter.observe(msg.tuples, msg.stamps);
         for (const Tuple& t : msg.tuples) {
           if (t.origin == StreamId::R) {
             ++epoch_r;
@@ -78,7 +75,7 @@ RemoteWorkerReport serve_worker(const RemoteWorkerOptions& opts) {
         const core::RunReport inner = engine->process(msg.tuples);
         rep.results_out += inner.results_emitted;
         const auto fresh = engine->take_results();
-        staged.insert(staged.end(), fresh.begin(), fresh.end());
+        staged_dropped += filter.keep_in_window(fresh, staged);
         if (staged.size() >= opts.batch_size) send_results(false);
         break;
       }
@@ -96,6 +93,7 @@ RemoteWorkerReport serve_worker(const RemoteWorkerOptions& opts) {
         current_epoch = wm.epoch;
         ++rep.epochs;
         send_results(true);  // the barrier answer
+        filter.clear();
         break;
       }
       default:
@@ -123,7 +121,8 @@ RemoteCoordinator::RemoteCoordinator(const RemoteClusterConfig& cfg)
       router_(cfg.partitioning,
               cfg.partitioning == Partitioning::kKeyHash ? 1 : cfg.grid_rows,
               cfg.partitioning == Partitioning::kKeyHash ? cfg.shards
-                                                         : cfg.grid_cols) {
+                                                         : cfg.grid_cols),
+      horizons_(cfg.window_size) {
   HAL_CHECK(cfg_.batch_size >= 1, "batch_size must be positive");
   const std::uint32_t slots = router_.num_slots();
   HAL_CHECK(cfg_.worker_addresses.size() == slots,
@@ -138,6 +137,7 @@ RemoteCoordinator::RemoteCoordinator(const RemoteClusterConfig& cfg)
     transport_ = owned_transport_.get();
   }
   staging_.resize(slots);
+  stamp_staging_.resize(slots);
   slot_r_count_.assign(slots, 0);
   slot_s_count_.assign(slots, 0);
   pending_.resize(slots);
@@ -172,6 +172,7 @@ void RemoteCoordinator::drain_results() {
                 "coordinator: undecodable result batch");
       pending_[slot].insert(pending_[slot].end(), msg.results.begin(),
                             msg.results.end());
+      epoch_dropped_ += msg.dropped;
       if (msg.end_of_epoch) {
         epoch_results_.insert(epoch_results_.end(), pending_[slot].begin(),
                               pending_[slot].end());
@@ -198,26 +199,29 @@ void RemoteCoordinator::send_with_drain(
   }
 }
 
-void RemoteCoordinator::flush_slot(std::uint32_t slot,
-                                   std::vector<Tuple>& staging) {
-  if (staging.empty()) return;
+void RemoteCoordinator::flush_slot(std::uint32_t slot) {
+  if (staging_[slot].empty()) return;
   net::TupleBatchMsg msg;
   msg.epoch = epoch_;
-  msg.tuples = std::move(staging);
-  staging.clear();
+  msg.tuples = std::move(staging_[slot]);
+  msg.stamps = std::move(stamp_staging_[slot]);
+  staging_[slot].clear();
+  stamp_staging_[slot].clear();
   send_with_drain(slot, net::MsgType::kTupleBatch, net::encode(msg));
 }
 
 core::RunReport RemoteCoordinator::process(const std::vector<Tuple>& tuples) {
   HAL_CHECK(!shut_down_, "coordinator already shut down");
+  const std::uint64_t epoch_first_seq = next_seq_;
   next_seq_ = check_arrival_order(tuples, next_seq_);
   ++epoch_;
   Timer wall;
   std::fill(slot_r_count_.begin(), slot_r_count_.end(), 0);
   std::fill(slot_s_count_.begin(), slot_s_count_.end(), 0);
 
+  const bool exact = cfg_.window_mode == WindowMode::kExactGlobal;
   for (const Tuple& t : tuples) {
-    if (cfg_.window_mode == WindowMode::kExactGlobal) tracker_.observe(t);
+    const std::uint64_t stamp = exact ? horizons_.stamp(t) : 0;
     router_.route(t, scratch_slots_);
     for (const std::uint32_t slot : scratch_slots_) {
       ++routed_tuples_;
@@ -227,13 +231,12 @@ core::RunReport RemoteCoordinator::process(const std::vector<Tuple>& tuples) {
         ++slot_s_count_[slot];
       }
       staging_[slot].push_back(t);
-      if (staging_[slot].size() >= cfg_.batch_size) {
-        flush_slot(slot, staging_[slot]);
-      }
+      if (exact) stamp_staging_[slot].push_back(stamp);
+      if (staging_[slot].size() >= cfg_.batch_size) flush_slot(slot);
     }
   }
   for (std::uint32_t slot = 0; slot < router_.num_slots(); ++slot) {
-    flush_slot(slot, staging_[slot]);
+    flush_slot(slot);
     net::WatermarkMsg wm;
     wm.epoch = epoch_;
     wm.r_count = slot_r_count_[slot];
@@ -259,13 +262,17 @@ core::RunReport RemoteCoordinator::process(const std::vector<Tuple>& tuples) {
     std::this_thread::yield();
   }
 
-  if (cfg_.window_mode == WindowMode::kExactGlobal) {
-    const auto before = epoch_results_.size();
-    std::erase_if(epoch_results_, [this](const ResultTuple& rt) {
-      return !tracker_.pair_in_window(rt, cfg_.window_size);
-    });
-    filtered_results_ += before - epoch_results_.size();
+  // The workers dropped the stale pairs. A result probing an earlier
+  // epoch came from a worker that no longer held its probe's horizon.
+  if (exact && !probes_in_epoch(epoch_results_, epoch_first_seq)) {
+    epoch_results_.clear();
+    epoch_dropped_ = 0;
+    HAL_CHECK(false,
+              "a worker emitted a result after its probe's epoch; "
+              "exact-global windows need workers that emit every pair in "
+              "its probe's epoch");
   }
+  filtered_results_ += std::exchange(epoch_dropped_, 0);
   // Same deterministic emission order as the in-process cluster: by
   // probing-tuple arrival, then stored-tuple arrival.
   std::sort(epoch_results_.begin(), epoch_results_.end(),

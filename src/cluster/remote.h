@@ -6,19 +6,21 @@
 //   serve_worker()    — runs in each worker process: listens on a
 //                       transport address, accepts the coordinator's
 //                       connection, and serves tuple batches through an
-//                       unmodified single-node engine until shutdown.
-//                       Watermarks are the epoch barriers; their R/S
+//                       unmodified single-node engine until shutdown,
+//                       dropping stale pairs against the batches' horizon
+//                       stamps (StaleFilter, as the in-process workers
+//                       do). Watermarks are the epoch barriers; their R/S
 //                       arrival counts let the worker audit that the
 //                       transport delivered every routed tuple exactly
 //                       once — under injected faults included.
-//   RemoteCoordinator — the router + exact-global merger side: partitions
-//                       tuples across the worker connections (same Router
-//                       and WindowTracker as the in-process engine),
-//                       drains result batches opportunistically while
-//                       sending (the credit windows on both directions
-//                       would otherwise deadlock), and emits the same
-//                       deterministically ordered, window-filtered result
-//                       multiset the in-process cluster produces.
+//   RemoteCoordinator — the router + merger side: partitions tuples
+//                       across the worker connections (same Router and
+//                       HorizonStamper as the in-process engine), drains
+//                       result batches opportunistically while sending
+//                       (the credit windows on both directions would
+//                       otherwise deadlock), and emits the same
+//                       deterministically ordered result multiset the
+//                       in-process cluster produces.
 //
 // The protocol per connection, all framed by net/wire.h:
 //
@@ -116,13 +118,13 @@ class RemoteCoordinator {
   RemoteCoordinator(const RemoteCoordinator&) = delete;
   RemoteCoordinator& operator=(const RemoteCoordinator&) = delete;
 
-  // One epoch: route, barrier on every worker's watermark answer, merge,
-  // window-filter, order deterministically. Seqs must strictly increase
-  // across the run's inputs (PreconditionError otherwise, state untouched).
-  // Exact-global filtering needs workers that emit every result in its
-  // probe's epoch (emits_results_in_probe_epoch() in cluster_engine.h);
-  // a result probing an earlier epoch fails the epoch with
-  // PreconditionError.
+  // One epoch: stamp, route, barrier on every worker's watermark answer,
+  // merge, order deterministically. Seqs must strictly increase across the
+  // run's inputs (PreconditionError otherwise, state untouched).
+  // Exact-global windows need workers that emit every result in its
+  // probe's epoch, while they still hold its horizon
+  // (emits_results_in_probe_epoch() in cluster_engine.h); a result
+  // probing an earlier epoch fails the epoch with PreconditionError.
   core::RunReport process(const std::vector<stream::Tuple>& tuples);
   std::vector<stream::ResultTuple> take_results();
 
@@ -135,14 +137,14 @@ class RemoteCoordinator {
   void shutdown();
 
  private:
-  void flush_slot(std::uint32_t slot, std::vector<stream::Tuple>& staging);
+  void flush_slot(std::uint32_t slot);
   void send_with_drain(std::uint32_t slot, net::MsgType type,
                        const std::vector<std::uint8_t>& payload);
   void drain_results();
 
   RemoteClusterConfig cfg_;
   Router router_;
-  WindowTracker tracker_;  // used iff window_mode == kExactGlobal
+  HorizonStamper horizons_;  // used iff window_mode == kExactGlobal
   std::unique_ptr<net::Transport> owned_transport_;
   net::Transport* transport_ = nullptr;
   std::vector<std::unique_ptr<net::Connection>> conns_;
@@ -150,12 +152,14 @@ class RemoteCoordinator {
   std::uint64_t epoch_ = 0;
   std::uint64_t next_seq_ = 0;  // least seq the next arrival may carry
   std::vector<std::vector<stream::Tuple>> staging_;
+  std::vector<std::vector<std::uint64_t>> stamp_staging_;  // beside staging_
   std::vector<std::uint32_t> scratch_slots_;
   std::vector<std::uint64_t> slot_r_count_;  // per-epoch watermark audit
   std::vector<std::uint64_t> slot_s_count_;
   std::vector<std::vector<stream::ResultTuple>> pending_;  // per slot
   std::vector<std::uint64_t> done_epoch_;
   std::vector<stream::ResultTuple> epoch_results_;
+  std::uint64_t epoch_dropped_ = 0;  // the workers' stale-pair counts
   std::vector<stream::ResultTuple> collected_;
 
   std::uint64_t input_tuples_ = 0;

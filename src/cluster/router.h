@@ -29,21 +29,27 @@
 // by *local* arrival count. Whenever a worker's local window can outlive
 // the global W-tuple window (kKeyHash, or the long side of a non-square
 // grid), the engine is given a window large enough to never *miss* a
-// global-window partner, and the merger discards the stale extras using
-// the WindowTracker. Seq is the global arrival index, strictly increasing
-// across a run (gaps allowed, e.g. where the guard shed), so a stream's
-// n-th arrival can be named by its seq: a probe that arrived after A
-// tuples of the other stream X still held a stored X tuple q iff A <= W
-// or q.seq >= the seq of X's arrival number A - W. The tracker therefore
-// keeps only each stream's last W arrival seqs plus the current epoch's
-// arrivals — O(W + epoch) state however long the run — and the
-// coordinators reject an input whose seqs do not strictly increase
-// (check_arrival_order) before they change any state. For the same
-// reason workers must emit every result in its probe's epoch, which rules
-// out multi-core handshake and bi-flow chains (see
+// global-window partner, and the stale extras it finds are dropped at the
+// worker, before they reach the wire. Seq is the global arrival index,
+// strictly increasing across a run (gaps allowed, e.g. where the guard
+// shed), so a stream's n-th arrival can be named by its seq: a probe that
+// arrived after A tuples of the other stream X still held a stored X tuple
+// q iff A <= W or q.seq >= the seq of X's arrival number A - W. The router
+// computes that cutoff once per admitted tuple — its horizon: the seq of
+// the other stream's W-th most recent arrival, or 0 while that stream has
+// at most W arrivals (HorizonStamper, O(W) state however long the run) —
+// and ships it beside the tuple. The worker keeps its epoch's (seq,
+// horizon) pairs and drops every result whose stored tuple's seq is below
+// its probe's horizon (StaleFilter), counting the drops for the merger's
+// report. The coordinators reject an input whose seqs do not strictly
+// increase (check_arrival_order) before they change any state, and check
+// that every merged result probes the current epoch: a worker that emits
+// a pair in a later epoch has already forgotten its probe's horizon, which
+// rules out multi-core handshake and bi-flow chains (see
 // emits_results_in_probe_epoch in cluster_engine.h).
-// Subset guarantee + superset filter ⇒ byte-identical result multisets to
-// the single-node oracle.
+// Subset guarantee + exact drop rule ⇒ byte-identical result multisets to
+// the single-node oracle. WindowTracker applies the same rule per pair from
+// arrival counts, as a reference for tests and the benchmark replay.
 #pragma once
 
 #include <algorithm>
@@ -75,8 +81,9 @@ enum class Partitioning : std::uint8_t {
 
 // Per-shard window discipline (see header comment).
 enum class WindowMode : std::uint8_t {
-  // Workers hold enough history that, after the merger's window filter,
-  // the cluster is byte-identical to the global count-based W window.
+  // Workers hold enough history that, after dropping the pairs below
+  // their router-stamped horizons, the cluster is byte-identical to the
+  // global count-based W window.
   kExactGlobal,
   // Workers hold W/shards each (kKeyHash) — the discipline real
   // key-partitioned deployments use: per-partition count-based windows.
@@ -229,8 +236,111 @@ class Router {
 [[nodiscard]] std::uint64_t check_arrival_order(
     std::span<const stream::Tuple> tuples, std::uint64_t next_seq);
 
-// Arrival-order accounting for the merger's exact-global window filter
-// (see the header comment for the seq-horizon rule).
+// Seq of the result's probe: the later arrival of the pair.
+[[nodiscard]] inline std::uint64_t probe_seq(
+    const stream::ResultTuple& t) noexcept {
+  return t.r.seq > t.s.seq ? t.r.seq : t.s.seq;
+}
+
+// True iff every result probes an arrival of the epoch whose arrivals
+// carry seqs of at least `epoch_first_seq`, i.e. no worker emitted a pair
+// after its probe's epoch.
+[[nodiscard]] bool probes_in_epoch(
+    std::span<const stream::ResultTuple> results,
+    std::uint64_t epoch_first_seq);
+
+// One stream's newest arrival seqs, oldest first, and its arrival count.
+struct ArrivalLog {
+  std::deque<std::uint64_t> seqs;
+  std::uint64_t arrivals = 0;  // of this stream so far
+
+  void push(std::uint64_t seq) {
+    seqs.push_back(seq);
+    ++arrivals;
+  }
+  // Seq of arrival number `n` (0-based), which must still be held.
+  [[nodiscard]] std::uint64_t seq_of(std::uint64_t n) const {
+    const std::uint64_t first = arrivals - seqs.size();
+    HAL_ASSERT(n >= first && n < arrivals);
+    return seqs[n - first];
+  }
+  void keep_newest(std::size_t n) {
+    if (seqs.size() > n) {
+      seqs.erase(seqs.begin(), seqs.end() - static_cast<std::ptrdiff_t>(n));
+    }
+  }
+};
+
+// Router half of the exact-global window (see the header comment): stamps
+// each admitted arrival, in arrival order, with its horizon. A stored
+// tuple of the other stream was inside the arrival's window iff its seq is
+// at least the stamp. Keeps each stream's last W seqs.
+class HorizonStamper {
+ public:
+  explicit HorizonStamper(std::size_t window) : window_(window) {}
+
+  // Records `t` as the newest arrival of its stream and returns its
+  // horizon: the seq of the other stream's W-th most recent arrival, or 0
+  // while that stream has at most W arrivals.
+  [[nodiscard]] std::uint64_t stamp(const stream::Tuple& t) {
+    const bool is_r = t.origin == stream::StreamId::R;
+    const ArrivalLog& other = is_r ? s_ : r_;
+    const std::uint64_t horizon =
+        other.arrivals > window_ ? other.seqs.front() : 0;
+    ArrivalLog& own = is_r ? r_ : s_;
+    own.push(t.seq);
+    if (own.seqs.size() > window_) own.seqs.pop_front();
+    return horizon;
+  }
+
+  // Arrival seqs held: at most 2W, independent of the run's length.
+  [[nodiscard]] std::size_t retained() const noexcept {
+    return r_.seqs.size() + s_.seqs.size();
+  }
+
+ private:
+  std::size_t window_;
+  ArrivalLog r_;
+  ArrivalLog s_;
+};
+
+// Worker half of the exact-global window: the (seq, stamp) pairs of the
+// arrivals a worker received in the current epoch, and the drop rule they
+// give its engine's results. A result whose probe is not among them (a
+// batch without stamps, or a pair emitted after its probe's epoch) passes
+// unfiltered; the coordinators reject the latter.
+class StaleFilter {
+ public:
+  // Records an ingress batch. `stamps` is empty or parallel to `tuples`.
+  void observe(std::span<const stream::Tuple> tuples,
+               std::span<const std::uint64_t> stamps);
+
+  // Appends to `out` every result of `fresh` whose stored tuple's seq is
+  // at least its probe's stamp, and returns how many it dropped.
+  std::uint64_t keep_in_window(std::span<const stream::ResultTuple> fresh,
+                               std::vector<stream::ResultTuple>& out) const;
+
+  // Forgets the epoch's arrivals: at the epoch's end, and when a restart
+  // or rebuild discards a partial epoch.
+  void clear() noexcept { epoch_.clear(); }
+
+ private:
+  struct Stamped {
+    std::uint64_t seq;
+    std::uint64_t stamp;
+  };
+  // Stamp of the recorded arrival `seq`, or 0 (keeps every pair) if the
+  // epoch holds no such arrival.
+  [[nodiscard]] std::uint64_t stamp_of(std::uint64_t seq) const;
+
+  std::vector<Stamped> epoch_;  // in arrival order, so seqs increase
+};
+
+// Arrival-order accounting for a merger-side exact-global window filter:
+// the seq-horizon rule of the header comment, checked per pair. The
+// coordinators do not use it (their workers drop stale pairs against
+// HorizonStamper's stamps); it is the reference those stamps are tested
+// against.
 //
 // Epochs follow the coordinators' call order: observe() an epoch's
 // arrivals, then pair_in_window() its results. The first observe() after
@@ -289,29 +399,6 @@ class WindowTracker {
   }
 
  private:
-  // One stream's newest arrival seqs, oldest first, and its arrival count.
-  struct ArrivalLog {
-    std::deque<std::uint64_t> seqs;
-    std::uint64_t arrivals = 0;  // of this stream so far
-
-    void push(std::uint64_t seq) {
-      seqs.push_back(seq);
-      ++arrivals;
-    }
-    // Seq of arrival number `n` (0-based), which must still be held.
-    [[nodiscard]] std::uint64_t seq_of(std::uint64_t n) const {
-      const std::uint64_t first = arrivals - seqs.size();
-      HAL_ASSERT(n >= first && n < arrivals);
-      return seqs[n - first];
-    }
-    void keep_newest(std::size_t n) {
-      if (seqs.size() > n) {
-        seqs.erase(seqs.begin(),
-                   seqs.end() - static_cast<std::ptrdiff_t>(n));
-      }
-    }
-  };
-
   struct Arrival {
     std::uint64_t seq;
     std::uint64_t before_other;  // other-stream arrivals strictly before

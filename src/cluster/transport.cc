@@ -23,6 +23,7 @@ bool net_try_send(net::Connection& conn, const TupleBatch& b) {
   msg.link_seq = b.link_seq;
   msg.end_of_epoch = b.end_of_epoch;
   msg.tuples = b.tuples;
+  msg.stamps = b.stamps;
   return conn.try_send(net::MsgType::kTupleBatch, net::encode(msg));
 }
 
@@ -31,6 +32,7 @@ bool net_try_send(net::Connection& conn, const ResultBatch& b) {
   msg.epoch = b.epoch;
   msg.end_of_epoch = b.end_of_epoch;
   msg.died = b.died;
+  msg.dropped = b.dropped;
   msg.results = b.results;
   return conn.try_send(net::MsgType::kResultBatch, net::encode(msg));
 }
@@ -50,6 +52,7 @@ bool net_try_recv(net::Connection& conn, TupleBatch& out) {
   out.end_of_epoch = msg.end_of_epoch;
   out.deliver_at_us = 0.0;
   out.tuples = std::move(msg.tuples);
+  out.stamps = std::move(msg.stamps);
   return true;
 }
 
@@ -65,6 +68,7 @@ bool net_try_recv(net::Connection& conn, ResultBatch& out) {
   out.end_of_epoch = msg.end_of_epoch;
   out.died = msg.died;
   out.deliver_at_us = 0.0;
+  out.dropped = msg.dropped;
   out.results = std::move(msg.results);
   return true;
 }

@@ -113,6 +113,9 @@ struct TupleBatch {
   bool end_of_epoch = false;
   double deliver_at_us = 0.0;  // stamped by Link::send
   std::vector<stream::Tuple> tuples;
+  // Exact-global windows: each tuple's horizon (HorizonStamper in
+  // cluster/router.h), parallel to `tuples`. Empty otherwise.
+  std::vector<std::uint64_t> stamps;
 };
 
 struct ResultBatch {
@@ -121,6 +124,9 @@ struct ResultBatch {
   bool end_of_epoch = false;
   bool died = false;  // worker announced fail-stop (fault injection)
   double deliver_at_us = 0.0;
+  // Stale pairs the worker dropped since its previous result batch; the
+  // merger sums them per completed epoch.
+  std::uint64_t dropped = 0;
   std::vector<stream::ResultTuple> results;
 };
 

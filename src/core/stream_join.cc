@@ -253,11 +253,7 @@ class SwHandshakeAdapter final : public StreamJoinEngine {
   }
 
   std::vector<ResultTuple> take_results() override {
-    auto all = engine_->results();
-    std::vector<ResultTuple> fresh(
-        all.begin() + static_cast<std::ptrdiff_t>(taken_), all.end());
-    taken_ = all.size();
-    return fresh;
+    return engine_->results_since(taken_);
   }
 
   bool snapshot(WindowImage& out) override {
@@ -285,7 +281,7 @@ class SwHandshakeAdapter final : public StreamJoinEngine {
  private:
   std::size_t dispatch_batch_ = 0;
   std::unique_ptr<sw::HandshakeJoinEngine> engine_;
-  std::size_t taken_ = 0;
+  std::vector<std::size_t> taken_;  // per core: results already taken
   std::uint64_t last_emitted_ = 0;
 };
 

@@ -22,7 +22,7 @@
 //                seq-ordered, seq-deduplicated merge of its own surviving
 //                tuples and the shipped-in state. Count-based eviction
 //                trims the merge to the window, and the exact-global
-//                merger filter keeps the output multiset byte-identical
+//                horizon stamps keep the output multiset byte-identical
 //                to a fixed-topology oracle (router.h has the argument).
 //   4. swap    — the versioned KeyspaceMap is installed atomically
 //                (version must be exactly current+1), then slots the new

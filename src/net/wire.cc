@@ -85,8 +85,9 @@ class Reader {
 
 // 17 bytes per tuple: key u32 | value u32 | seq u64 | origin u8. seq and
 // origin are simulator metadata (tuple.h), but the distributed runtime
-// ships them so the merger's window filter and ordering contract work
-// across the process boundary exactly as they do in-process.
+// ships them so the workers' stale-pair filter and the merger's ordering
+// contract work across the process boundary exactly as they do
+// in-process.
 constexpr std::size_t kTupleWireSize = 17;
 
 void put_tuple(std::vector<std::uint8_t>& out, const stream::Tuple& t) {
@@ -109,6 +110,10 @@ void put_tuple(std::vector<std::uint8_t>& out, const stream::Tuple& t) {
 
 constexpr std::uint32_t kFlagEndOfEpoch = 1u << 0;
 constexpr std::uint32_t kFlagDied = 1u << 1;
+// Tuple batches: one u64 stamp per tuple follows the tuples. Set only on
+// a non-empty batch, so every decodable payload has one encoding.
+constexpr std::uint32_t kFlagStamps = 1u << 2;
+constexpr std::size_t kStampWireSize = 8;
 
 // --- CRC32C table ----------------------------------------------------------
 
@@ -302,13 +307,20 @@ bool decode(std::span<const std::uint8_t> payload, WatermarkMsg& m) {
 }
 
 std::vector<std::uint8_t> encode(const TupleBatchMsg& m) {
+  HAL_CHECK(m.stamps.empty() || m.stamps.size() == m.tuples.size(),
+            "a tuple batch carries one stamp per tuple or none");
   std::vector<std::uint8_t> out;
-  out.reserve(24 + m.tuples.size() * kTupleWireSize);
+  out.reserve(24 + m.tuples.size() * kTupleWireSize +
+              m.stamps.size() * kStampWireSize);
   put_u64(out, m.epoch);
   put_u64(out, m.link_seq);
-  put_u32(out, m.end_of_epoch ? kFlagEndOfEpoch : 0);
+  std::uint32_t flags = 0;
+  if (m.end_of_epoch) flags |= kFlagEndOfEpoch;
+  if (!m.stamps.empty()) flags |= kFlagStamps;
+  put_u32(out, flags);
   put_u32(out, static_cast<std::uint32_t>(m.tuples.size()));
   for (const stream::Tuple& t : m.tuples) put_tuple(out, t);
+  for (const std::uint64_t stamp : m.stamps) put_u64(out, stamp);
   return out;
 }
 
@@ -320,11 +332,14 @@ bool decode(std::span<const std::uint8_t> payload, TupleBatchMsg& m) {
       !r.read_u32(count)) {
     return false;
   }
-  if ((flags & ~kFlagEndOfEpoch) != 0) return false;
+  if ((flags & ~(kFlagEndOfEpoch | kFlagStamps)) != 0) return false;
   m.end_of_epoch = (flags & kFlagEndOfEpoch) != 0;
+  const bool stamped = (flags & kFlagStamps) != 0;
+  if (stamped && count == 0) return false;
   // Count must match the remaining bytes exactly; checking before the
   // reserve keeps a corrupt count from over-allocating.
-  if (r.remaining() != static_cast<std::size_t>(count) * kTupleWireSize) {
+  const std::size_t per_tuple = kTupleWireSize + (stamped ? kStampWireSize : 0);
+  if (r.remaining() != static_cast<std::size_t>(count) * per_tuple) {
     return false;
   }
   m.tuples.clear();
@@ -334,18 +349,23 @@ bool decode(std::span<const std::uint8_t> payload, TupleBatchMsg& m) {
     if (!read_tuple(r, t)) return false;
     m.tuples.push_back(t);
   }
+  m.stamps.assign(stamped ? count : 0, 0);
+  for (std::uint64_t& stamp : m.stamps) {
+    if (!r.read_u64(stamp)) return false;
+  }
   return r.done();
 }
 
 std::vector<std::uint8_t> encode(const ResultBatchMsg& m) {
   std::vector<std::uint8_t> out;
-  out.reserve(16 + m.results.size() * 2 * kTupleWireSize);
+  out.reserve(24 + m.results.size() * 2 * kTupleWireSize);
   put_u64(out, m.epoch);
   std::uint32_t flags = 0;
   if (m.end_of_epoch) flags |= kFlagEndOfEpoch;
   if (m.died) flags |= kFlagDied;
   put_u32(out, flags);
   put_u32(out, static_cast<std::uint32_t>(m.results.size()));
+  put_u64(out, m.dropped);
   for (const stream::ResultTuple& rt : m.results) {
     put_tuple(out, rt.r);
     put_tuple(out, rt.s);
@@ -357,7 +377,8 @@ bool decode(std::span<const std::uint8_t> payload, ResultBatchMsg& m) {
   Reader r(payload);
   std::uint32_t flags = 0;
   std::uint32_t count = 0;
-  if (!r.read_u64(m.epoch) || !r.read_u32(flags) || !r.read_u32(count)) {
+  if (!r.read_u64(m.epoch) || !r.read_u32(flags) || !r.read_u32(count) ||
+      !r.read_u64(m.dropped)) {
     return false;
   }
   if ((flags & ~(kFlagEndOfEpoch | kFlagDied)) != 0) return false;

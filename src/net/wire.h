@@ -36,7 +36,7 @@
 
 namespace hal::net {
 
-inline constexpr std::uint8_t kProtocolVersion = 1;
+inline constexpr std::uint8_t kProtocolVersion = 2;
 inline constexpr std::size_t kHeaderSize = 24;
 // Caps a frame's payload so a corrupted length field can never trigger an
 // unbounded allocation (16 MiB >> any batch the cluster ships).
@@ -176,6 +176,9 @@ struct TupleBatchMsg {
   std::uint64_t link_seq = 0;
   bool end_of_epoch = false;
   std::vector<stream::Tuple> tuples;
+  // Exact-global window horizons, one per tuple (cluster/router.h), or
+  // none. Sent as a trailing u64 section, flagged in the batch header.
+  std::vector<std::uint64_t> stamps;
 
   friend bool operator==(const TupleBatchMsg&, const TupleBatchMsg&) =
       default;
@@ -185,6 +188,8 @@ struct ResultBatchMsg {
   std::uint64_t epoch = 0;
   bool end_of_epoch = false;
   bool died = false;  // worker announced fail-stop
+  // Stale pairs the worker dropped since its previous result batch.
+  std::uint64_t dropped = 0;
   std::vector<stream::ResultTuple> results;
 
   friend bool operator==(const ResultBatchMsg&, const ResultBatchMsg&) =

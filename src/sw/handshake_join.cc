@@ -389,11 +389,22 @@ bool HandshakeJoinEngine::restore_state(const core::WindowImage& image) {
 }
 
 std::vector<stream::ResultTuple> HandshakeJoinEngine::results() const {
-  std::vector<stream::ResultTuple> all;
-  for (const auto& c : cores_) {
-    all.insert(all.end(), c->local_results.begin(), c->local_results.end());
+  std::vector<std::size_t> from_start;
+  return results_since(from_start);
+}
+
+std::vector<stream::ResultTuple> HandshakeJoinEngine::results_since(
+    std::vector<std::size_t>& taken) const {
+  taken.resize(cores_.size(), 0);
+  std::vector<stream::ResultTuple> fresh;
+  for (std::size_t i = 0; i < cores_.size(); ++i) {
+    const auto& local = cores_[i]->local_results;
+    fresh.insert(fresh.end(),
+                 local.begin() + static_cast<std::ptrdiff_t>(taken[i]),
+                 local.end());
+    taken[i] = local.size();
   }
-  return all;
+  return fresh;
 }
 
 }  // namespace hal::sw

@@ -99,6 +99,11 @@ class HandshakeJoinEngine {
 
   // Results collected so far (call only between process() calls).
   [[nodiscard]] std::vector<stream::ResultTuple> results() const;
+  // Results collected since the previous call with the same cursor: each
+  // core's new tail, in core order. `taken` holds one offset per core and
+  // is advanced past the returned results (call between process() calls).
+  [[nodiscard]] std::vector<stream::ResultTuple> results_since(
+      std::vector<std::size_t>& taken) const;
   [[nodiscard]] const HandshakeJoinConfig& config() const noexcept {
     return cfg_;
   }

@@ -98,9 +98,13 @@ TEST(ClusterEngine, NonSquareGridNeedsAndUsesWindowFilter) {
   ReferenceJoin oracle(cfg.window_size, cfg.spec);
   EXPECT_EQ(normalize(engine.take_results()),
             normalize(oracle.process_all(tuples)));
-  // The asymmetric slice (W/2 vs W/3) must have produced stale pairs that
-  // the merger filtered.
-  EXPECT_GT(engine.report().filtered_results, 0u);
+  // The asymmetric slice (W/2 vs W/3) must have produced stale pairs,
+  // which the workers dropped and counted.
+  const ClusterReport rep = engine.report();
+  EXPECT_GT(rep.filtered_results, 0u);
+  std::uint64_t emitted = 0;
+  for (const auto& w : rep.workers) emitted += w.results_out;
+  EXPECT_EQ(emitted, rep.merged_results + rep.filtered_results);
 }
 
 TEST(ClusterEngine, MixedBackendsPerShardMatchOracle) {
@@ -389,9 +393,8 @@ TEST(ClusterEngine, NonIncreasingSeqThrowsBeforeAnyStateChange) {
             normalize(oracle.process_all(tuples)));
 }
 
-// The merge filter's state follows the window, not the run: 200 epochs of
-// W/4 tuples, every one with results to filter, keep the tracker within
-// 2W + one epoch's arrivals.
+// The horizon state follows the window, not the run: 200 epochs of W/4
+// tuples, every one with results, keep the router's stamper within 2W.
 TEST(ClusterEngine, ExactGlobalTrackerStateStaysWindowBounded) {
   ClusterConfig cfg = base_config();
   cfg.partitioning = Partitioning::kKeyHash;
@@ -417,15 +420,15 @@ TEST(ClusterEngine, ExactGlobalTrackerStateStaysWindowBounded) {
     if (retained == nullptr) continue;  // HAL_OBS=0 shell registry
     gauge_seen = true;
     ASSERT_LE(retained->gauge_value,
-              static_cast<double>(2 * cfg.window_size + epoch_tuples));
+              static_cast<double>(2 * cfg.window_size));
   }
   if (!gauge_seen) GTEST_SKIP() << "HAL_OBS=0: the bound is a metric";
 }
 
-// Exact-global filtering counts arrivals for the current epoch only, so
-// the cluster refuses workers that emit a pair after its probe's epoch: a
-// multi-core handshake or bi-flow chain finds a cross-core pair only when
-// a later arrival hands one of its tuples over.
+// Exact-global workers keep their arrivals' horizons for the current
+// epoch only, so the cluster refuses workers that emit a pair after its
+// probe's epoch: a multi-core handshake or bi-flow chain finds a
+// cross-core pair only when a later arrival hands one of its tuples over.
 TEST(ClusterEngine, ExactGlobalRejectsWorkersThatEmitAfterTheProbeEpoch) {
   ClusterConfig cfg = base_config();
   cfg.partitioning = Partitioning::kKeyHash;
@@ -469,7 +472,7 @@ TEST(ClusterEngine, SingleCoreHandshakeWorkersStayExactAcrossEpochs) {
             normalize(oracle.process_all(tuples)));
 }
 
-// Partitioned-local windows apply no merge filter, so 4-core handshake
+// Partitioned-local windows drop no stale pairs, so 4-core handshake
 // workers run there across many epochs — and do emit pairs whose probe
 // arrived in an earlier epoch, which is why exact-global mode refuses them.
 TEST(ClusterEngine, MultiCoreHandshakeWorkersRunPartitionedLocalAcrossEpochs) {
@@ -544,7 +547,9 @@ TEST(ClusterRouter, WindowTrackerRejectsAProbeFromAnEarlierEpoch) {
 // shedding leaves, some epochs without results (the next one then runs
 // on from them) — and every (r, s) pair whose probe arrived since the
 // last check round is checked against the whole history, so stored
-// tuples trimmed long ago are covered too.
+// tuples trimmed long ago are covered too. The router's horizon stamps,
+// taken on the same arrivals, must give the same verdict on every pair:
+// q.seq >= stamp(p) iff the tracker keeps the pair.
 struct TrackerCase {
   double r_fraction;
   std::size_t window;
@@ -563,7 +568,9 @@ TEST_P(WindowTrackerOracleTest, MatchesPrefixCountOracle) {
   Rng rng(wl.seed);
 
   WindowTracker tracker;
+  HorizonStamper horizons(window);
   std::vector<Tuple> history;
+  std::vector<std::uint64_t> stamps;  // per arrival: its router stamp
   std::vector<std::uint64_t> r_before;  // per arrival: earlier R arrivals
   std::vector<std::uint64_t> s_before;
   std::uint64_t r_seen = 0;
@@ -578,6 +585,7 @@ TEST_P(WindowTrackerOracleTest, MatchesPrefixCountOracle) {
       if (rollover) epoch_start = history.size();
       rollover = false;
       tracker.observe(t);
+      stamps.push_back(horizons.stamp(t));
       history.push_back(t);
       r_before.push_back(r_seen);
       s_before.push_back(s_seen);
@@ -594,6 +602,7 @@ TEST_P(WindowTrackerOracleTest, MatchesPrefixCountOracle) {
       ASSERT_LE(tracker.retained(),
                 2 * window + (history.size() - epoch_start));
     }
+    ASSERT_LE(horizons.retained(), 2 * window);
     if (rng.next_bool(0.2)) continue;  // no results this epoch
     for (std::size_t p = round_start; p < history.size(); ++p) {
       for (std::size_t q = 0; q < p; ++q) {
@@ -603,9 +612,13 @@ TEST_P(WindowTrackerOracleTest, MatchesPrefixCountOracle) {
             q_is_r ? r_before[p] - r_before[q] : s_before[p] - s_before[q];
         const ResultTuple pair = q_is_r ? ResultTuple{history[q], history[p]}
                                         : ResultTuple{history[p], history[q]};
-        ASSERT_EQ(tracker.pair_in_window(pair, window), preceding <= window)
+        const bool in_window = tracker.pair_in_window(pair, window);
+        ASSERT_EQ(in_window, preceding <= window)
             << "probe seq " << history[p].seq << ", stored seq "
             << history[q].seq << ", W " << window;
+        ASSERT_EQ(history[q].seq >= stamps[p], in_window)
+            << "stamp " << stamps[p] << " of probe seq " << history[p].seq
+            << ", stored seq " << history[q].seq << ", W " << window;
         window_fixed = rollover = true;
         ++checked;
       }

@@ -1,6 +1,8 @@
 // The unified hal::core facade: all four backends behind one interface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/harness.h"
 #include "core/stream_join.h"
 #include "stream/generator.h"
@@ -61,6 +63,39 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return s;
     });
+
+// A multi-core handshake chain keeps one result vector per core and
+// appends to several of them in each round, so the rounds'
+// take_results() must take each core's new tail: together they hold every
+// result the chain found exactly once — no pair twice, and as many pairs
+// as the chain reports.
+TEST(Facade, SwHandshakeTakeResultsAcrossRoundsHasNoRepeats) {
+  EngineConfig cfg;
+  cfg.backend = Backend::kSwHandshake;
+  cfg.num_cores = 4;
+  cfg.window_size = 64;
+  auto engine = make_engine(cfg);
+
+  stream::WorkloadConfig wl;
+  wl.seed = 41;
+  wl.key_domain = 16;
+  stream::WorkloadGenerator gen(wl);
+  std::vector<stream::ResultKey> taken;
+  std::uint64_t emitted = 0;
+  for (int round = 0; round < 100; ++round) {
+    emitted += engine->process(gen.take(16)).results_emitted;
+    for (const auto& res : engine->take_results()) {
+      EXPECT_EQ(res.r.key, res.s.key);
+      taken.push_back(stream::key_of(res));
+    }
+  }
+  EXPECT_TRUE(engine->take_results().empty());
+  ASSERT_GT(emitted, 0u);
+  EXPECT_EQ(taken.size(), emitted);
+  std::sort(taken.begin(), taken.end());
+  EXPECT_EQ(std::adjacent_find(taken.begin(), taken.end()), taken.end())
+      << "a result was taken twice";
+}
 
 TEST(Facade, EagerBackendsAgreeWithOracleAndEachOther) {
   stream::WorkloadConfig wl;

@@ -67,6 +67,9 @@ std::vector<std::uint8_t> random_frame(Rng& rng, Frame& expected) {
       for (std::size_t i = 0; i < n; ++i) {
         m.tuples.push_back(random_tuple(rng));
       }
+      if ((rng.next_u64() & 1) != 0) {  // exact-global horizon stamps
+        for (std::size_t i = 0; i < n; ++i) m.stamps.push_back(rng.next_u64());
+      }
       payload = encode(m);
       break;
     }
@@ -76,6 +79,7 @@ std::vector<std::uint8_t> random_frame(Rng& rng, Frame& expected) {
       m.epoch = rng.next_u64();
       m.end_of_epoch = (rng.next_u64() & 1) != 0;
       m.died = (rng.next_u64() & 1) != 0;
+      m.dropped = (rng.next_u64() & 1) != 0 ? rng.next_u64() : 0;
       const std::size_t n = rng.next_u64() % 9;
       for (std::size_t i = 0; i < n; ++i) {
         m.results.push_back({random_tuple(rng), random_tuple(rng)});

@@ -130,25 +130,37 @@ TEST_P(SwShedPropertyTest, GuardedOutputEqualsOracleMinusShed) {
                sw_case_name({GetParam(), 0}));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BackendsAndBatches, SwShedPropertyTest,
-    ::testing::Values(
-        SwCase{Backend::kSwSplitJoin, 1, false},
-        SwCase{Backend::kSwSplitJoin, 7, true},
-        SwCase{Backend::kSwSplitJoin, 64, false},
-        SwCase{Backend::kSwBatch, 1, true},
-        SwCase{Backend::kSwBatch, 7, false},
-        SwCase{Backend::kSwBatch, 64, true}),
-    sw_case_name);
+// gtest prints each parameter's bytes into its test name, padding
+// included. Static storage zero-fills the padding and ValuesIn copies the
+// array whole, so the names stay the same from build to build.
+constexpr SwCase kSwCases[] = {
+    {Backend::kSwSplitJoin, 1, false}, {Backend::kSwSplitJoin, 7, true},
+    {Backend::kSwSplitJoin, 64, false}, {Backend::kSwBatch, 1, true},
+    {Backend::kSwBatch, 7, false},      {Backend::kSwBatch, 64, true},
+};
+
+INSTANTIATE_TEST_SUITE_P(BackendsAndBatches, SwShedPropertyTest,
+                         ::testing::ValuesIn(kSwCases), sw_case_name);
 
 // --- Cluster over every link fabric --------------------------------------
 
 struct ClusterCase {
-  const char* name;
   net::TransportKind link;
   std::size_t batch_size;
   bool zipf;
+  std::uint64_t seed;  // of the workload
 };
+
+std::string cluster_case_name(
+    const ::testing::TestParamInfo<ClusterCase>& info) {
+  const ClusterCase& c = info.param;
+  std::string name = "Tcp";
+  if (c.link == net::TransportKind::kInProcess) name = "InProcess";
+  if (c.link == net::TransportKind::kLoopback) name = "Loopback";
+  name += "_b" + std::to_string(c.batch_size);
+  if (c.zipf) name += "_zipf";
+  return name;
+}
 
 class ClusterShedPropertyTest
     : public ::testing::TestWithParam<ClusterCase> {};
@@ -167,9 +179,10 @@ TEST_P(ClusterShedPropertyTest, GuardedIngressStaysExact) {
   cfg.transport.link_transport = c.link;
   cfg.guard = forced_guard(23);
 
-  const auto all = make_workload(600, 211, c.zipf);
+  const auto all = make_workload(600, c.seed, c.zipf);
   ClusterEngine engine(cfg);
-  assert_exact(engine, cfg.window_size, cfg.spec, all, 4, c.name);
+  assert_exact(engine, cfg.window_size, cfg.spec, all, 4,
+               cluster_case_name({GetParam(), 0}));
 
   // The router only ever saw the admitted stream: offered input minus
   // shed equals what reached routing.
@@ -179,17 +192,18 @@ TEST_P(ClusterShedPropertyTest, GuardedIngressStaysExact) {
   EXPECT_EQ(rep.guard.admitted + rep.guard.shed, all.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Transports, ClusterShedPropertyTest,
-    ::testing::Values(
-        ClusterCase{"InProcess_b1", net::TransportKind::kInProcess, 1, false},
-        ClusterCase{"InProcess_b7_zipf", net::TransportKind::kInProcess, 7,
-                    true},
-        ClusterCase{"Loopback_b64", net::TransportKind::kLoopback, 64, false},
-        ClusterCase{"Tcp_b16_zipf", net::TransportKind::kTcp, 16, true}),
-    [](const ::testing::TestParamInfo<ClusterCase>& info) {
-      return info.param.name;
-    });
+// Pointer-free and in static storage (zeroed padding), for the same
+// reason as kSwCases.
+constexpr ClusterCase kClusterCases[] = {
+    {net::TransportKind::kInProcess, 1, false, 211},
+    {net::TransportKind::kInProcess, 7, true, 211},
+    {net::TransportKind::kLoopback, 64, false, 211},
+    {net::TransportKind::kTcp, 16, true, 211},
+};
+
+INSTANTIATE_TEST_SUITE_P(Transports, ClusterShedPropertyTest,
+                         ::testing::ValuesIn(kClusterCases),
+                         cluster_case_name);
 
 // --- Shedding composed with crash faults ----------------------------------
 

@@ -77,38 +77,42 @@ TEST_P(UniflowOracleTest, MatchesReferenceJoin) {
   EXPECT_EQ(actual, expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, UniflowOracleTest,
-    testing::Values(
-        Params{1, 8, NetworkKind::kScalable, NetworkKind::kScalable,
-               KeyDistribution::kUniform, 4},
-        Params{2, 16, NetworkKind::kScalable, NetworkKind::kScalable,
-               KeyDistribution::kUniform, 8},
-        Params{4, 64, NetworkKind::kScalable, NetworkKind::kScalable,
-               KeyDistribution::kUniform, 32},
-        Params{4, 64, NetworkKind::kLightweight, NetworkKind::kLightweight,
-               KeyDistribution::kUniform, 32},
-        Params{4, 64, NetworkKind::kLightweight, NetworkKind::kScalable,
-               KeyDistribution::kZipf, 64},
-        Params{8, 128, NetworkKind::kScalable, NetworkKind::kLightweight,
-               KeyDistribution::kSequential, 16},
-        Params{8, 256, NetworkKind::kScalable, NetworkKind::kScalable,
-               KeyDistribution::kZipf, 128},
-        Params{16, 256, NetworkKind::kScalable, NetworkKind::kScalable,
-               KeyDistribution::kUniform, 64},
-        Params{3, 63, NetworkKind::kScalable, NetworkKind::kScalable,
-               KeyDistribution::kUniform, 16},
-        Params{5, 40, NetworkKind::kLightweight, NetworkKind::kScalable,
-               KeyDistribution::kUniform, 8},
-        // OP-Chain layout = low-latency handshake join: replication +
-        // fast-forward down a daisy-chain, eager semantics preserved.
-        Params{4, 64, NetworkKind::kChain, NetworkKind::kChain,
-               KeyDistribution::kUniform, 32},
-        Params{8, 128, NetworkKind::kChain, NetworkKind::kChain,
-               KeyDistribution::kZipf, 64},
-        Params{6, 96, NetworkKind::kChain, NetworkKind::kScalable,
-               KeyDistribution::kUniform, 16}),
-    param_name);
+// gtest prints each parameter's bytes into its test name, padding
+// included. Static storage zero-fills the padding and ValuesIn copies the
+// array whole, so the names stay the same from build to build.
+constexpr Params kSweep[] = {
+    {1, 8, NetworkKind::kScalable, NetworkKind::kScalable,
+     KeyDistribution::kUniform, 4},
+    {2, 16, NetworkKind::kScalable, NetworkKind::kScalable,
+     KeyDistribution::kUniform, 8},
+    {4, 64, NetworkKind::kScalable, NetworkKind::kScalable,
+     KeyDistribution::kUniform, 32},
+    {4, 64, NetworkKind::kLightweight, NetworkKind::kLightweight,
+     KeyDistribution::kUniform, 32},
+    {4, 64, NetworkKind::kLightweight, NetworkKind::kScalable,
+     KeyDistribution::kZipf, 64},
+    {8, 128, NetworkKind::kScalable, NetworkKind::kLightweight,
+     KeyDistribution::kSequential, 16},
+    {8, 256, NetworkKind::kScalable, NetworkKind::kScalable,
+     KeyDistribution::kZipf, 128},
+    {16, 256, NetworkKind::kScalable, NetworkKind::kScalable,
+     KeyDistribution::kUniform, 64},
+    {3, 63, NetworkKind::kScalable, NetworkKind::kScalable,
+     KeyDistribution::kUniform, 16},
+    {5, 40, NetworkKind::kLightweight, NetworkKind::kScalable,
+     KeyDistribution::kUniform, 8},
+    // OP-Chain layout = low-latency handshake join: replication +
+    // fast-forward down a daisy-chain, eager semantics preserved.
+    {4, 64, NetworkKind::kChain, NetworkKind::kChain,
+     KeyDistribution::kUniform, 32},
+    {8, 128, NetworkKind::kChain, NetworkKind::kChain,
+     KeyDistribution::kZipf, 64},
+    {6, 96, NetworkKind::kChain, NetworkKind::kScalable,
+     KeyDistribution::kUniform, 16},
+};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, UniflowOracleTest, testing::ValuesIn(kSweep),
+                         param_name);
 
 TEST(UniflowEngine, EmptyRunIsQuiescent) {
   UniflowEngine engine(UniflowConfig{});

@@ -171,6 +171,27 @@ TEST_P(RemoteClusterTest, RepeatedSeqIsRejectedWithoutSideEffects) {
   EXPECT_EQ(normalize(run.results), normalize(oracle.process_all(tuples)));
 }
 
+// Each worker holds the full W of its key range, so it finds pairs the
+// global window has already closed; it drops them against the router's
+// horizon stamps before they reach the wire, and reports how many.
+TEST_P(RemoteClusterTest, WorkersDropStalePairsAndCountThem) {
+  const auto tuples = workload(900, 23);
+  const std::vector<std::vector<Tuple>> epochs = {
+      {tuples.begin(), tuples.begin() + 450},
+      {tuples.begin() + 450, tuples.end()},
+  };
+  const RemoteClusterConfig cfg = base_remote_config();
+  const RemoteRun run = run_remote(GetParam(), cfg, epochs);
+
+  ReferenceJoin oracle(cfg.window_size, cfg.spec);
+  EXPECT_EQ(normalize(run.results), normalize(oracle.process_all(tuples)));
+  EXPECT_GT(run.report.filtered_results, 0u);
+  std::uint64_t emitted = 0;
+  for (const auto& w : run.workers) emitted += w.results_out;
+  EXPECT_EQ(emitted,
+            run.report.merged_results + run.report.filtered_results);
+}
+
 TEST_P(RemoteClusterTest, SplitGridBandJoinMatchesOracle) {
   const auto tuples = workload(600, 33);
   RemoteClusterConfig cfg = base_remote_config();

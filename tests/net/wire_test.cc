@@ -6,6 +6,8 @@
 
 #include <vector>
 
+#include "common/assert.h"
+
 namespace hal::net {
 namespace {
 
@@ -104,8 +106,9 @@ TEST(WireMessages, EmptyBatchesRoundTrip) {
 }
 
 TEST(WireMessages, DecodeRejectsTruncationAndTrailingBytes) {
-  const TupleBatchMsg batch{
-      .epoch = 1, .tuples = {make_tuple(1, 2, 3, StreamId::R)}};
+  const TupleBatchMsg batch{.epoch = 1,
+                            .tuples = {make_tuple(1, 2, 3, StreamId::R)},
+                            .stamps = {}};
   std::vector<std::uint8_t> payload = encode(batch);
   TupleBatchMsg out;
   for (std::size_t len = 0; len < payload.size(); ++len) {
@@ -119,7 +122,8 @@ TEST(WireMessages, DecodeRejectsTruncationAndTrailingBytes) {
 
 TEST(WireMessages, DecodeRejectsBadEnumAndCountMismatch) {
   TupleBatchMsg batch{.epoch = 1,
-                      .tuples = {make_tuple(1, 2, 3, StreamId::R)}};
+                      .tuples = {make_tuple(1, 2, 3, StreamId::R)},
+                      .stamps = {}};
   std::vector<std::uint8_t> payload = encode(batch);
   // Inflate the tuple count without providing the bytes.
   std::vector<std::uint8_t> bad = payload;
@@ -130,6 +134,93 @@ TEST(WireMessages, DecodeRejectsBadEnumAndCountMismatch) {
   bad = payload;
   bad.back() = 0x7F;
   EXPECT_FALSE(decode(bad, out));
+}
+
+// Exact-global tuple batches carry one horizon stamp per tuple in a
+// trailing section that a header flag announces.
+TEST(WireMessages, StampedTupleBatchRoundTrips) {
+  const TupleBatchMsg batch{.epoch = 7,
+                            .link_seq = 3,
+                            .end_of_epoch = true,
+                            .tuples = {make_tuple(1, 10, 100, StreamId::R),
+                                       make_tuple(2, 20, 101, StreamId::S)},
+                            .stamps = {0, 0xFEDCBA9876543210ull}};
+  const std::vector<std::uint8_t> payload = encode(batch);
+  const TupleBatchMsg unstamped{.epoch = 7,
+                                .link_seq = 3,
+                                .end_of_epoch = true,
+                                .tuples = batch.tuples,
+                                .stamps = {}};
+  EXPECT_EQ(payload.size(), encode(unstamped).size() + 2 * 8);
+  TupleBatchMsg out;
+  ASSERT_TRUE(decode(payload, out));
+  EXPECT_EQ(out, batch);
+  // Decoding a stamped batch and then an unstamped one leaves no stamps.
+  ASSERT_TRUE(decode(encode(unstamped), out));
+  EXPECT_EQ(out, unstamped);
+
+  TupleBatchMsg ragged = batch;
+  ragged.stamps.pop_back();
+  EXPECT_THROW((void)encode(ragged), PreconditionError);
+}
+
+TEST(WireMessages, TruncationInsideTheStampSectionIsRejected) {
+  const TupleBatchMsg batch{.epoch = 1,
+                            .tuples = {make_tuple(1, 2, 3, StreamId::R),
+                                       make_tuple(4, 5, 6, StreamId::S)},
+                            .stamps = {1, 2}};
+  const std::vector<std::uint8_t> payload = encode(batch);
+  const std::size_t stamps_at = payload.size() - 2 * 8;
+  TupleBatchMsg out;
+  for (std::size_t len = stamps_at; len < payload.size(); ++len) {
+    EXPECT_FALSE(
+        decode(std::span<const std::uint8_t>(payload.data(), len), out))
+        << "truncated to " << len;
+  }
+}
+
+TEST(WireMessages, StampFlagWithoutStampSectionIsRejected) {
+  const TupleBatchMsg stamped{.epoch = 1,
+                              .tuples = {make_tuple(1, 2, 3, StreamId::R)},
+                              .stamps = {9}};
+  const std::uint8_t flag_byte = encode(stamped)[16];  // flags follow 2 u64s
+  TupleBatchMsg plain = stamped;
+  plain.stamps.clear();
+  std::vector<std::uint8_t> payload = encode(plain);
+  ASSERT_NE(payload[16], flag_byte);
+  payload[16] = flag_byte;
+  TupleBatchMsg out;
+  EXPECT_FALSE(decode(payload, out));
+  // An empty batch never carries the flag either: one encoding per batch.
+  std::vector<std::uint8_t> empty = encode(TupleBatchMsg{});
+  empty[16] = flag_byte;
+  EXPECT_FALSE(decode(empty, out));
+}
+
+TEST(WireMessages, ResultBatchCarriesTheDropCount) {
+  ResultBatchMsg batch;
+  batch.epoch = 5;
+  batch.end_of_epoch = true;
+  batch.dropped = 123456789012ull;
+  batch.results = {{make_tuple(1, 10, 100, StreamId::R),
+                    make_tuple(1, 30, 102, StreamId::S)}};
+  std::vector<std::uint8_t> payload = encode(batch);
+  ResultBatchMsg out;
+  ASSERT_TRUE(decode(payload, out));
+  EXPECT_EQ(out, batch);
+  EXPECT_EQ(out.dropped, batch.dropped);
+
+  // A count with no results (every pair of the batch was stale) survives
+  // too, and any truncation of it is rejected.
+  batch.results.clear();
+  payload = encode(batch);
+  ASSERT_TRUE(decode(payload, out));
+  EXPECT_EQ(out.dropped, batch.dropped);
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(
+        decode(std::span<const std::uint8_t>(payload.data(), len), out))
+        << "truncated to " << len;
+  }
 }
 
 TEST(FrameDecoder, SingleAndMultipleFrames) {

@@ -133,26 +133,30 @@ TEST_P(EngineDispatchTest, IndexedSimdPathMatchesScanScalarOracle) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, EngineDispatchTest,
-    testing::Values(
-        // Batch shapes 1 / 7 / 64 / window per backend, each under every
-        // candidate ISA (unrunnable ones skip at SetUp).
-        Params{Backend::kSwSplitJoin, 1, Isa::kScalar},
-        Params{Backend::kSwSplitJoin, 7, Isa::kAvx2},
-        Params{Backend::kSwSplitJoin, 7, Isa::kNeon},
-        Params{Backend::kSwSplitJoin, 64, Isa::kAvx2},
-        Params{Backend::kSwSplitJoin, kWindow, Isa::kScalar},
-        Params{Backend::kSwBatch, 1, Isa::kAvx2},
-        Params{Backend::kSwBatch, 7, Isa::kScalar},
-        Params{Backend::kSwBatch, 64, Isa::kAvx2},
-        Params{Backend::kSwBatch, 64, Isa::kNeon},
-        Params{Backend::kSwBatch, kWindow, Isa::kAvx2},
-        Params{Backend::kCluster, 1, Isa::kScalar},
-        Params{Backend::kCluster, 7, Isa::kAvx2},
-        Params{Backend::kCluster, 64, Isa::kNeon},
-        Params{Backend::kCluster, kWindow, Isa::kAvx2}),
-    name);
+// gtest prints each parameter's bytes into its test name, padding
+// included. Static storage zero-fills the padding and ValuesIn copies the
+// array whole, so the names stay the same from build to build.
+// Batch shapes 1 / 7 / 64 / window per backend, each under every
+// candidate ISA (unrunnable ones skip at SetUp).
+constexpr Params kSweep[] = {
+    {Backend::kSwSplitJoin, 1, Isa::kScalar},
+    {Backend::kSwSplitJoin, 7, Isa::kAvx2},
+    {Backend::kSwSplitJoin, 7, Isa::kNeon},
+    {Backend::kSwSplitJoin, 64, Isa::kAvx2},
+    {Backend::kSwSplitJoin, kWindow, Isa::kScalar},
+    {Backend::kSwBatch, 1, Isa::kAvx2},
+    {Backend::kSwBatch, 7, Isa::kScalar},
+    {Backend::kSwBatch, 64, Isa::kAvx2},
+    {Backend::kSwBatch, 64, Isa::kNeon},
+    {Backend::kSwBatch, kWindow, Isa::kAvx2},
+    {Backend::kCluster, 1, Isa::kScalar},
+    {Backend::kCluster, 7, Isa::kAvx2},
+    {Backend::kCluster, 64, Isa::kNeon},
+    {Backend::kCluster, kWindow, Isa::kAvx2},
+};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, EngineDispatchTest, testing::ValuesIn(kSweep),
+                         name);
 
 // 1-core handshake degenerates to the eager oracle: exact equality across
 // ProbePath × ISA there.

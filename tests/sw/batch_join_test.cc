@@ -54,15 +54,20 @@ TEST_P(BatchJoinOracleTest, MatchesReferenceJoin) {
   EXPECT_EQ(report.results_emitted, expected.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BatchJoinOracleTest,
-    testing::Values(Params{1, 32, 8, 8},      // single worker
-                    Params{2, 64, 64, 8},     // batch == window (edge)
-                    Params{4, 128, 32, 16},   // small batches
-                    Params{4, 128, 128, 4},   // hot keys, full batches
-                    Params{8, 256, 100, 32},  // batch not a divisor
-                    Params{3, 63, 21, 8}),    // non-power-of-two everything
-    name);
+// gtest prints each parameter's bytes into its test name, padding
+// included. Static storage zero-fills the padding and ValuesIn copies the
+// array whole, so the names stay the same from build to build.
+constexpr Params kSweep[] = {
+    {1, 32, 8, 8},      // single worker
+    {2, 64, 64, 8},     // batch == window (edge)
+    {4, 128, 32, 16},   // small batches
+    {4, 128, 128, 4},   // hot keys, full batches
+    {8, 256, 100, 32},  // batch not a divisor
+    {3, 63, 21, 8},     // non-power-of-two everything
+};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, BatchJoinOracleTest, testing::ValuesIn(kSweep),
+                         name);
 
 TEST(BatchJoinEngine, BatchOfOneEqualsStreaming) {
   BatchJoinConfig cfg;

@@ -95,12 +95,18 @@ TEST_P(SwHandshakeInvariantTest, ExactlyOnceWithinWindowTolerance) {
   }
 }
 
+// gtest prints each parameter's bytes into its test name, padding
+// included. Static storage zero-fills the padding and ValuesIn copies the
+// array whole, so the names stay the same from build to build.
+constexpr Params kSweep[] = {
+    {2, 64, 8, 1},
+    {4, 128, 16, 2},
+    {4, 256, 32, 3},
+    {8, 256, 16, 4},
+};
+
 INSTANTIATE_TEST_SUITE_P(Sweep, SwHandshakeInvariantTest,
-                         testing::Values(Params{2, 64, 8, 1},
-                                         Params{4, 128, 16, 2},
-                                         Params{4, 256, 32, 3},
-                                         Params{8, 256, 16, 4}),
-                         name);
+                         testing::ValuesIn(kSweep), name);
 
 TEST(SwHandshakeEngine, SingleCoreMatchesOracleExactly) {
   // One core, one input queue: entries are processed in offer order, so

@@ -58,15 +58,20 @@ TEST_P(SplitJoinOracleTest, MatchesReferenceJoin) {
   EXPECT_EQ(report.results_emitted, expected.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, SplitJoinOracleTest,
-    testing::Values(Params{1, 16, 8, KeyDistribution::kUniform},
-                    Params{2, 64, 16, KeyDistribution::kUniform},
-                    Params{3, 63, 8, KeyDistribution::kUniform},
-                    Params{4, 128, 32, KeyDistribution::kZipf},
-                    Params{8, 256, 64, KeyDistribution::kUniform},
-                    Params{8, 256, 16, KeyDistribution::kZipf}),
-    name);
+// gtest prints each parameter's bytes into its test name, padding
+// included. Static storage zero-fills the padding and ValuesIn copies the
+// array whole, so the names stay the same from build to build.
+constexpr Params kSweep[] = {
+    {1, 16, 8, KeyDistribution::kUniform},
+    {2, 64, 16, KeyDistribution::kUniform},
+    {3, 63, 8, KeyDistribution::kUniform},
+    {4, 128, 32, KeyDistribution::kZipf},
+    {8, 256, 64, KeyDistribution::kUniform},
+    {8, 256, 16, KeyDistribution::kZipf},
+};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, SplitJoinOracleTest, testing::ValuesIn(kSweep),
+                         name);
 
 TEST(SplitJoinEngine, PrefillMatchesStreamedWarmup) {
   // prefill(first_k) + process(rest) must produce exactly the oracle's
