@@ -16,7 +16,7 @@
 //                      random streams (chaos schedules, cluster scaling),
 //                      so a CI failure names a seed a dev box can replay.
 //   --sim-threads[=N]  host threads for the cycle-simulation kernel in the
-//                      hw benches (default 1 = serial oracle; bare flag
+//                      hw benches (default 1 = serial kernel; bare flag
 //                      means hardware_concurrency). Purely host-side: the
 //                      simulated results are byte-identical across values.
 #pragma once

@@ -32,7 +32,7 @@ struct BiflowConfig {
   std::size_t link_depth = 2;        // result links
   std::size_t outgoing_capacity = 16;  // eviction buffer per direction
   // Simulation-kernel knobs (host-side execution only; never changes the
-  // simulated design or any cycle count). threads=1 is the serial oracle.
+  // simulated design or any cycle count). threads=1 is the serial kernel.
   sim::SimConfig sim;
 };
 

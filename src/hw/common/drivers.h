@@ -7,6 +7,9 @@
 // input-side throughput, which is what the paper measures (§V: "input
 // throughput", "time it takes to process and emit all results for a newly
 // inserted tuple").
+//
+// Both sleep (sim/module.h) while they have nothing to move: the driver
+// until enqueue() or a slot in its port, the sink until a result arrives.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +29,20 @@ class WordDriver final : public sim::Module {
  public:
   WordDriver(std::string name, const sim::Simulator& sim,
              sim::Fifo<HwWord>& out)
-      : Module(std::move(name)), sim_(sim), out_(out) {}
+      : Module(std::move(name)), sim_(sim), out_(out) {
+    watch(out_);
+  }
 
-  void enqueue(HwWord w) { pending_.push_back(std::move(w)); }
+  void enqueue(HwWord w) {
+    pending_.push_back(std::move(w));
+    wake();
+  }
 
   void eval() override {
-    if (pending_.empty() || !out_.can_push()) return;
+    if (pending_.empty() || !out_.can_push()) {
+      sleep();
+      return;
+    }
     const HwWord& w = pending_.front();
     if (record_injections_ && w.is_tuple()) {
       injection_cycles_[w.tuple.seq] = sim_.cycle();
@@ -79,10 +90,15 @@ class ResultSink final : public sim::Module {
  public:
   ResultSink(std::string name, const sim::Simulator& sim,
              sim::Fifo<stream::ResultTuple>& in)
-      : Module(std::move(name)), sim_(sim), in_(in) {}
+      : Module(std::move(name)), sim_(sim), in_(in) {
+    watch(in_);
+  }
 
   void eval() override {
-    if (!in_.can_pop()) return;
+    if (!in_.can_pop()) {
+      sleep();
+      return;
+    }
     collected_.push_back(TimedResult{in_.pop(), sim_.cycle()});
   }
 

@@ -38,7 +38,7 @@ struct OpChainConfig {
   } join;
   std::size_t link_depth = 2;
   // Simulation-kernel knobs (host-side execution only; never changes the
-  // simulated design or any cycle count). threads=1 is the serial oracle.
+  // simulated design or any cycle count). threads=1 is the serial kernel.
   sim::SimConfig sim;
 };
 

@@ -11,6 +11,11 @@
 // same class with fan-out N and a single level realizes the *lightweight*
 // distribution network; a cascade with fan-out k realizes the *scalable*
 // one.
+//
+// A DNode sleeps (sim/module.h) while its input is empty or its broadcast
+// is stalled, and watches its input and every output, since a change to
+// any of them can end either wait. The stall cycles it sleeps through are
+// caught up from the clock.
 #pragma once
 
 #include <vector>
@@ -29,13 +34,27 @@ class DNode final : public sim::Module {
         std::vector<sim::Fifo<HwWord>*> outs)
       : Module(std::move(name)), in_(in), outs_(std::move(outs)) {
     HAL_CHECK(!outs_.empty(), "DNode needs at least one output");
+    watch(in_);
+    for (auto* out : outs_) watch(*out);
   }
 
   void eval() override {
-    if (!in_.can_pop()) return;
+    if constexpr (obs::kEnabled) {
+      stall_cycles_ += slept_stalls();
+      stalled_ = false;
+    }
+    if (!in_.can_pop()) {
+      sleep();
+      return;
+    }
     for (const auto* out : outs_) {
       if (!out->can_push()) {  // broadcast backpressure
-        if constexpr (obs::kEnabled) ++stall_cycles_;
+        if constexpr (obs::kEnabled) {
+          ++stall_cycles_;
+          stalled_ = true;
+          stalled_at_ = now();
+        }
+        sleep();
         return;
       }
     }
@@ -49,14 +68,21 @@ class DNode final : public sim::Module {
   // Cycles a word was ready but a downstream buffer was full. Always 0
   // with HAL_OBS=0.
   [[nodiscard]] std::uint64_t stall_cycles() const noexcept {
-    return stall_cycles_;
+    return stall_cycles_ + slept_stalls();
   }
 
  private:
+  // Cycles slept since the last eval stalled: each would have stalled too.
+  [[nodiscard]] std::uint64_t slept_stalls() const noexcept {
+    return stalled_ ? now() - stalled_at_ - 1 : 0;
+  }
+
   sim::Fifo<HwWord>& in_;
   std::vector<sim::Fifo<HwWord>*> outs_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t stall_cycles_ = 0;
+  bool stalled_ = false;
+  std::uint64_t stalled_at_ = 0;
 };
 
 }  // namespace hal::hw

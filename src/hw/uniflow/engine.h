@@ -39,7 +39,7 @@ struct UniflowConfig {
   // of O(W/N)) at the cost of an index memory bank per sub-window.
   JoinAlgorithm algorithm = JoinAlgorithm::kNestedLoop;
   // Simulation-kernel knobs (host-side execution only; never changes the
-  // simulated design or any cycle count). threads=1 is the serial oracle.
+  // simulated design or any cycle count). threads=1 is the serial kernel.
   sim::SimConfig sim;
 };
 

@@ -11,9 +11,12 @@
 // the *lightweight* gathering network's round-robin collection "from join
 // cores, one after another", whose O(N) polling latency the paper reports
 // as the dominant cost at large core counts. The grant pointer advances
-// every cycle unconditionally — there is deliberately no handshake.
+// every cycle unconditionally — there is deliberately no handshake — so it
+// is the clock modulo the fan-in, which lets a GNode sleep (sim/module.h)
+// while every input is empty.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "common/assert.h"
@@ -30,10 +33,11 @@ class GNode final : public sim::Module {
         sim::Fifo<stream::ResultTuple>& out)
       : Module(std::move(name)), ins_(std::move(ins)), out_(out) {
     HAL_CHECK(!ins_.empty(), "GNode needs at least one input");
+    for (auto* in : ins_) watch(*in);
   }
 
   void eval() override {
-    auto* granted = ins_[grant_];
+    auto* granted = ins_[now() % ins_.size()];
     if (granted->can_pop()) {
       if (out_.can_push()) {
         out_.push(granted->pop());
@@ -41,8 +45,10 @@ class GNode final : public sim::Module {
       } else if constexpr (obs::kEnabled) {
         ++stall_cycles_;  // granted source ready, downstream full
       }
+    } else if (std::none_of(ins_.begin(), ins_.end(),
+                            [](const auto* in) { return in->can_pop(); })) {
+      sleep();
     }
-    grant_ = (grant_ + 1) % ins_.size();
   }
 
   [[nodiscard]] std::size_t fan_in() const noexcept { return ins_.size(); }
@@ -56,7 +62,6 @@ class GNode final : public sim::Module {
  private:
   std::vector<sim::Fifo<stream::ResultTuple>*> ins_;
   sim::Fifo<stream::ResultTuple>& out_;
-  std::size_t grant_ = 0;
   std::uint64_t forwarded_ = 0;
   std::uint64_t stall_cycles_ = 0;
 };

@@ -17,6 +17,7 @@ HashJoinCore::HashJoinCore(std::string name, std::uint32_t position,
       results_(results) {
   win_r_.capacity = sub_window_capacity;
   win_s_.capacity = sub_window_capacity;
+  watch(fetcher_);
 }
 
 void HashJoinCore::IndexedWindow::insert(const Tuple& t) {
@@ -77,7 +78,10 @@ void HashJoinCore::intake(const HwWord& w) {
 void HashJoinCore::eval() {
   switch (state_) {
     case State::kIdle: {
-      if (!fetcher_.can_pop()) break;
+      if (!fetcher_.can_pop()) {
+        sleep();  // nothing to take in until the Fetcher fills
+        break;
+      }
       const HwWord& front = fetcher_.front();
       if (front.kind == WordKind::kOperator2) break;  // not mid-programming
       intake(fetcher_.pop());

@@ -42,7 +42,9 @@ UniflowJoinCore::UniflowJoinCore(std::string name, std::uint32_t position,
       win_r_(sub_window_capacity),
       win_s_(sub_window_capacity),
       fetcher_(fetcher),
-      results_(results) {}
+      results_(results) {
+  watch(fetcher_);
+}
 
 void UniflowJoinCore::prefill_store(const Tuple& t) {
   HAL_CHECK(quiescent(), "prefill requires a quiescent core");
@@ -82,6 +84,9 @@ void UniflowJoinCore::eval() {
       intake(fetcher_.pop());
       return;
     }
+  } else if (ready_for_any_word()) {
+    sleep();  // idle with an empty Fetcher: nothing to advance
+    return;
   }
   advance_storage();
   advance_processing();

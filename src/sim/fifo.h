@@ -15,6 +15,12 @@
 //
 // At most one push and one pop may be staged per cycle (SPSC, as in the
 // modeled hardware where each link has one driver).
+//
+// A Fifo is a Channel (module.h): push() and pop() queue it for the serial
+// kernel's commit phase, and a commit that applies either wakes the modules
+// that watch it. A FIFO has nothing to evaluate, so it sleeps for good on
+// its first eval(). Pushes and commits from outside the kernel (tests,
+// bench harnesses) take the same path, so they wake watchers too.
 #pragma once
 
 #include <deque>
@@ -27,10 +33,10 @@
 namespace hal::sim {
 
 template <typename T>
-class Fifo final : public Module {
+class Fifo final : public Channel {
  public:
   Fifo(std::string name, std::size_t capacity)
-      : Module(std::move(name)), capacity_(capacity) {
+      : Channel(std::move(name)), capacity_(capacity) {
     HAL_CHECK(capacity_ > 0, "fifo capacity must be positive");
   }
 
@@ -42,6 +48,7 @@ class Fifo final : public Module {
     HAL_ASSERT_MSG(can_push(), "push on full fifo");
     HAL_ASSERT_MSG(!staged_push_.has_value(), "double push in one cycle");
     staged_push_ = std::move(value);
+    stage();
   }
 
   // -- consumer interface (eval phase) --
@@ -54,6 +61,7 @@ class Fifo final : public Module {
     HAL_ASSERT_MSG(can_pop(), "pop on empty fifo");
     HAL_ASSERT_MSG(!staged_pop_, "double pop in one cycle");
     staged_pop_ = true;
+    stage();
     return data_.front();
   }
 
@@ -74,9 +82,10 @@ class Fifo final : public Module {
     return high_water_;
   }
 
-  void eval() override {}
+  void eval() override { sleep(); }
 
   void commit() override {
+    if (!staged_pop_ && !staged_push_.has_value()) return;
     if (staged_pop_) {
       data_.pop_front();
       staged_pop_ = false;
@@ -89,6 +98,7 @@ class Fifo final : public Module {
         if (data_.size() > high_water_) high_water_ = data_.size();
       }
     }
+    changed();
   }
 
  private:

@@ -15,13 +15,43 @@
 // property synchronous RTL gets from edge-triggered flip-flops. This is
 // what makes the cycle counts reported by the benches faithful to the
 // micro-architecture rather than artifacts of scheduling.
+//
+// Activity (the sleep contract). On a large fabric most modules have
+// nothing to do on most cycles: a distribution node waits for its next
+// word, a gathering node for a result. The serial kernel (simulator.h)
+// evaluates only *awake* modules and commits only the channels (FIFOs)
+// that staged a push or pop. A module calls sleep() from eval() only when
+// its next eval() would stage nothing and change no state until one of
+// the channels it watch()es commits a change; such a commit wakes it.
+// Watched channels are declared in the module's constructor. Code that
+// changes a module's inputs from outside the kernel (a driver's enqueue())
+// calls wake(). A module whose idle cycles still advance state derives
+// that state from the clock (now()) instead of counting evals.
+//
+// Sleeping is only ever a shortcut: evaluating a sleeping module changes
+// nothing, so the threaded kernel, which evaluates every module every
+// cycle, computes byte-identical results, and a module that never sleeps
+// is always correct.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
+
+#include "common/assert.h"
 
 namespace hal::sim {
+
+class Channel;
+class Module;
+
+// The serial kernel's work lists, shared with the modules it steps.
+struct Activity {
+  std::vector<Module*> awake;     // evaluated next cycle
+  std::vector<Channel*> staged;   // committed this cycle
+};
 
 class Module {
  public:
@@ -33,14 +63,74 @@ class Module {
 
   // Phase 1: observe committed state, stage actions.
   virtual void eval() = 0;
-  // Phase 2: apply staged actions (default: nothing to commit).
+  // Phase 2: apply staged actions (default: nothing to commit). The serial
+  // kernel commits only channels, so other modules keep this empty.
   virtual void commit() {}
+
+  // Evaluates a sleeping module again from the next cycle. For state
+  // changed from outside the kernel; never call it from eval().
+  void wake() {
+    if (!asleep_) return;
+    asleep_ = false;
+    if (activity_ != nullptr) activity_->awake.push_back(this);
+  }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
+ protected:
+  // From eval() only: skip this module until a watched channel commits a
+  // change or wake() is called.
+  void sleep() noexcept { asleep_ = true; }
+  // From the constructor: commits that change `c` wake this module.
+  void watch(Channel& c);
+  // The cycle being evaluated (the simulator's clock, handed over by
+  // Simulator::add()).
+  [[nodiscard]] std::uint64_t now() const noexcept {
+    HAL_ASSERT_MSG(clock_ != nullptr, "module not added to a simulator");
+    return clock_->load(std::memory_order_relaxed);
+  }
+
  private:
+  friend class Channel;
+  friend class Simulator;
+
   std::string name_;
+  const std::atomic<std::uint64_t>* clock_ = nullptr;
+  // Set by Simulator::add(), cleared before a threaded kernel's first
+  // cycle: no worker thread ever stages or wakes through it.
+  Activity* activity_ = nullptr;
+  bool asleep_ = false;
 };
+
+// A module whose committed changes wake the modules that watch it: the
+// base of every FIFO. The serial kernel commits a channel only in cycles
+// where it staged a push or pop.
+class Channel : public Module {
+ public:
+  using Module::Module;
+
+ protected:
+  // From push()/pop(): queue this channel for the next commit phase.
+  void stage() {
+    if (activity_ == nullptr || queued_) return;
+    queued_ = true;
+    activity_->staged.push_back(this);
+  }
+  // From commit(), when it applied a change.
+  void changed() {
+    if (activity_ == nullptr) return;
+    for (Module* m : watchers_) m->wake();
+  }
+
+ private:
+  friend class Module;
+  friend class Simulator;
+
+  std::vector<Module*> watchers_;
+  bool queued_ = false;
+};
+
+inline void Module::watch(Channel& c) { c.watchers_.push_back(this); }
 
 // A register whose read value is stable within a cycle. Writes via set()
 // become visible after commit() — the flip-flop abstraction.

@@ -1,7 +1,7 @@
 // Thread-parallel two-phase kernel: Graphite-style parallel cycle-level
 // simulation with the determinism kept bit-exact.
 //
-// The serial Simulator::step() walks every module twice per cycle; at
+// The serial Simulator::step() runs every awake module on one thread; at
 // thousand-module fabrics that single hot loop is the wall-clock
 // bottleneck for the paper's open-problem topologies (Fig. 5/6/7). The
 // stepper shards the module list across persistent worker threads and runs
@@ -14,10 +14,13 @@
 // per cycle. Because eval() only observes committed state and commit()
 // only applies a module's own staged state (the flip-flop contract in
 // module.h), *any* assignment of modules to threads commits exactly the
-// serial result: the threaded run is byte-identical to the serial oracle —
-// cycle counts, FIFO contents, every deterministic counter. The barriers
-// provide the happens-before edges (see barrier.h); nothing else
-// synchronizes, so the per-cycle cost is two barrier crossings.
+// serial result: the threaded run is byte-identical to the serial kernel —
+// cycle counts, FIFO contents, every deterministic counter. It steps every
+// module every cycle, asleep or not (the sleep contract in module.h makes
+// that a no-op for a sleeping one), so it is the all-module reference the
+// activity-driven serial kernel is tested against. The barriers provide
+// the happens-before edges (see barrier.h); nothing else synchronizes, so
+// the per-cycle cost is two barrier crossings.
 //
 // Threading contract inherited by modules (all current modules satisfy it
 // by construction):
@@ -26,6 +29,9 @@
 //     sole producer/consumer of (the SPSC discipline fifo.h documents).
 //   * commit() touches only the module's own state and must not read the
 //     simulator clock (the leader republishes it concurrently).
+//   * nothing stages into or wakes through the serial kernel's work lists:
+//     the simulator detaches them before the first threaded cycle, so a
+//     channel's commit never writes another module's wake flag.
 //
 // Workers persist across run() calls and park in SpinBackoff between
 // them, so stepping one cycle at a time (run_until with predicate_epoch 1)

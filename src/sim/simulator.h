@@ -1,16 +1,23 @@
-// The clock driver: steps all registered modules through eval/commit.
+// The clock driver: steps the registered modules through eval/commit.
 //
 // Two execution kernels share one register/FIFO substrate:
 //
-//   threads == 1 — the serial stepper: two plain loops per cycle, exactly
-//                  the code every realization has always run. This is the
-//                  oracle: all determinism claims are stated against it.
+//   threads == 1 — the serial kernel, activity-driven: each cycle it
+//                  evaluates only the awake modules and commits only the
+//                  channels that staged a push or pop; a channel whose
+//                  commit changes it wakes the modules that watch it (the
+//                  sleep contract in module.h).
 //   threads >= 2 — the parallel stepper (parallel_stepper.h): registered
 //                  modules are sharded once (topology-aware via link()
 //                  declarations, see partition.h) and persistent workers
-//                  run the eval | barrier | commit | barrier cycle. The
-//                  two-phase contract makes the result byte-identical to
-//                  the serial oracle for any shard assignment.
+//                  run the eval | barrier | commit | barrier cycle over
+//                  every module. Evaluating a sleeping module changes
+//                  nothing, so this all-module kernel is the reference the
+//                  serial kernel is checked against: results are
+//                  byte-identical for any shard assignment.
+//
+// Wake lists come from the modules' own watch() declarations, never from
+// link(): links stay a pure partitioning hint.
 //
 // run_until() batches predicate checks to `predicate_epoch` cycles; the
 // batching applies identically to both kernels, so for a fixed config the
@@ -36,7 +43,7 @@
 namespace hal::sim {
 
 struct SimConfig {
-  // Shards/threads for the stepping kernel; 1 selects the serial oracle.
+  // Shards/threads for the stepping kernel; 1 selects the serial kernel.
   // Clamped to the module count at partition time (an empty shard would
   // still pay barrier crossings).
   std::uint32_t threads = 1;
@@ -54,6 +61,7 @@ class Simulator {
   explicit Simulator(SimConfig cfg) { configure(cfg); }
 
   void configure(const SimConfig& cfg) {
+    HAL_CHECK(!started_, "the simulator is configured before the first step");
     HAL_CHECK(cfg.threads >= 1, "SimConfig.threads must be >= 1");
     HAL_CHECK(cfg.predicate_epoch >= 1,
               "SimConfig.predicate_epoch must be >= 1");
@@ -67,10 +75,13 @@ class Simulator {
   void reserve(std::size_t n) { modules_.reserve(n); }
 
   // Non-owning registration; callers (engines) own their modules and must
-  // keep them alive for the simulator's lifetime.
+  // keep them alive for the simulator's lifetime. Hands the module the
+  // clock and the serial kernel's work lists.
   void add(Module& m) {
+    HAL_CHECK(!started_, "modules are added before the first step");
+    m.clock_ = &cycle_;
+    m.activity_ = &activity_;
     modules_.push_back(&m);
-    stepper_.reset();
   }
 
   // Declares that `a` and `b` share a wire (FIFO endpoint, register
@@ -89,17 +100,35 @@ class Simulator {
   // the batched entry point both kernels implement natively.
   void step_n(std::uint64_t cycles) {
     if (cycles == 0) return;
-    if (config_.threads <= 1 || modules_.size() <= 1) {
-      for (std::uint64_t c = 0; c < cycles; ++c) {
-        for (Module* m : modules_) m->eval();
-        for (Module* m : modules_) m->commit();
-        cycle_.store(cycle_.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
-      }
+    if (effective_threads() > 1) {
+      ensure_stepper();
+      stepper_->run(cycles);
       return;
     }
-    ensure_stepper();
-    stepper_->run(cycles);
+    if (!started_) {
+      // Every module is awake for the first cycle.
+      started_ = true;
+      activity_.awake = modules_;
+      for (Module* m : modules_) m->asleep_ = false;
+    }
+    std::vector<Module*>& awake = activity_.awake;
+    std::vector<Channel*>& staged = activity_.staged;
+    for (std::uint64_t c = 0; c < cycles; ++c) {
+      std::size_t kept = 0;
+      for (Module* m : awake) {
+        m->eval();
+        if (!m->asleep_) awake[kept++] = m;
+      }
+      awake.resize(kept);
+      // Commits append the modules they wake to `awake`.
+      for (Channel* ch : staged) {
+        ch->queued_ = false;
+        ch->commit();
+      }
+      staged.clear();
+      cycle_.store(cycle_.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
+    }
   }
 
   // Run until `done()` returns true or `max_cycles` elapse (counted from
@@ -129,7 +158,7 @@ class Simulator {
     return links_.size();
   }
   // Shards the parallel kernel would use for the current config (1 for the
-  // serial oracle). Partition introspection below is only populated once a
+  // serial kernel). Partition introspection below is only populated once a
   // threaded step has forced the partition to exist.
   [[nodiscard]] std::uint32_t effective_threads() const noexcept {
     if (config_.threads <= 1 || modules_.size() <= 1) return 1;
@@ -184,6 +213,11 @@ class Simulator {
  private:
   void ensure_stepper() {
     if (stepper_ != nullptr) return;
+    // The all-module kernel keeps no work lists: detach them before any
+    // worker thread could stage or wake through them.
+    started_ = true;
+    for (Module* m : modules_) m->activity_ = nullptr;
+    activity_ = Activity{};
     Partition part = partition_modules(modules_, links_, effective_threads());
     partition_links_ = part.total_links;
     partition_cut_links_ = part.cut_links;
@@ -194,6 +228,9 @@ class Simulator {
   std::vector<Module*> modules_;
   std::vector<std::pair<const Module*, const Module*>> links_;
   SimConfig config_;
+  // Serial kernel only; add() and configure() are refused once set.
+  Activity activity_;
+  bool started_ = false;
   // Atomic because drivers/sinks read the clock during a parallel eval
   // phase while the leader shard republishes it between barriers; relaxed
   // ops keep the serial path a plain load/store.

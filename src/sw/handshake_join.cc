@@ -172,7 +172,9 @@ void HandshakeJoinEngine::core_loop(std::uint32_t i) {
         return entered > 0;
       }
       // A multi-core chain feeds R at the left end and S at the right.
-      if (!can_store(i, leftmost)) return false;
+      // Check for input first: restore_state() rewrites the sub-windows
+      // that can_store() reads, and it runs only while nothing is queued.
+      if (core.input.empty() || !can_store(i, leftmost)) return false;
       Tuple t;
       if (!core.input.try_pop(t)) return false;
       enter(i, t, nullptr);

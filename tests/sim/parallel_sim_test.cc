@@ -1,8 +1,9 @@
 // Tests for the thread-parallel two-phase kernel: FIFO staging at the
 // occupancy boundaries (the SPSC discipline the parallel stepper leans
 // on), the reusable spin barrier, the topology-aware partitioner, and —
-// the load-bearing property — byte-identity of threaded runs against the
-// serial oracle for raw pipelines and for all three hardware engines.
+// the load-bearing property — byte-identity between the activity-driven
+// serial kernel and the threaded one, which evaluates every module every
+// cycle, for raw pipelines and for all three hardware engines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "hw/biflow/engine.h"
 #include "hw/opchain/op_chain_engine.h"
 #include "hw/uniflow/engine.h"
+#include "obs/enabled.h"
 #include "obs/export.h"
 #include "sim/barrier.h"
 #include "sim/fifo.h"
@@ -357,18 +359,58 @@ struct EngineRun {
   std::uint64_t cycle = 0;
   std::vector<stream::ResultTuple> results;
   std::string obs_json;
+  std::uint64_t gathering_stalls = 0;  // uniflow only; 0 with HAL_OBS=0
 };
 
-EngineRun run_uniflow(std::uint32_t threads) {
+// One point of the uni-flow sweep. The threaded kernel steps every module
+// every cycle, so comparing it with the serial kernel checks each module's
+// sleep contract on this fabric.
+struct UniflowCase {
+  NetworkKind distribution;
+  NetworkKind gathering;
+  JoinAlgorithm algorithm;
+  std::uint32_t key_domain;
+  // Offer the second half of the input only after the engine went
+  // quiescent and idled, so the sleeping driver and cores must wake.
+  bool reoffer;
+};
+
+std::string describe(const UniflowCase& c) {
+  return std::string(to_string(c.distribution)) + "/" +
+         to_string(c.gathering) + "/" + to_string(c.algorithm) +
+         " keys=" + std::to_string(c.key_domain) +
+         (c.reoffer ? " reoffer" : "");
+}
+
+EngineRun run_uniflow(const UniflowCase& c, std::uint32_t threads) {
   UniflowConfig cfg;
   cfg.num_cores = 8;
   cfg.window_size = 128;
+  cfg.distribution = c.distribution;
+  cfg.gathering = c.gathering;
+  cfg.algorithm = c.algorithm;
   cfg.sim.threads = threads;
   UniflowEngine engine(cfg);
   engine.program(stream::JoinSpec::equi_on_key());
-  engine.offer(workload(96, 64));
+  const auto tuples = workload(96, c.key_domain);
+  if (c.reoffer) {
+    const auto half = tuples.begin() + 48;
+    engine.offer(std::vector<stream::Tuple>(tuples.begin(), half));
+    engine.run_to_quiescence(200'000);
+    engine.step(37);  // idle: every module asleep
+    engine.offer(std::vector<stream::Tuple>(half, tuples.end()));
+  } else {
+    engine.offer(tuples);
+  }
   engine.run_to_quiescence(200'000);
-  return {engine.cycle(), engine.result_tuples(), det_obs(engine)};
+  EngineRun run{engine.cycle(), engine.result_tuples(), det_obs(engine)};
+  obs::MetricRegistry reg;
+  engine.collect_metrics(reg, "engine.");
+  const auto snap = reg.snapshot();
+  if (const auto* m = snap.find("engine.gathering.stall_cycles")) {
+    run.gathering_stalls = m->counter_value;
+  }
+  return run;
 }
 
 EngineRun run_biflow(std::uint32_t threads) {
@@ -398,20 +440,51 @@ EngineRun run_opchain(std::uint32_t threads) {
   return {engine.cycle(), engine.result_tuples(), ""};
 }
 
+// Compares the serial kernel's run with the threaded kernel's at 2 and 8
+// threads; returns the serial run.
 template <typename RunFn>
-void expect_identical_across_threads(RunFn&& run) {
-  const EngineRun oracle = run(1);
-  EXPECT_GT(oracle.results.size(), 0u) << "workload produced no matches";
+EngineRun expect_identical_across_threads(RunFn&& run) {
+  EngineRun serial = run(1);
+  EXPECT_GT(serial.results.size(), 0u) << "workload produced no matches";
   for (const std::uint32_t t : {2u, 8u}) {
     const EngineRun threaded = run(t);
-    EXPECT_EQ(threaded.cycle, oracle.cycle) << t << " threads";
-    EXPECT_EQ(threaded.results, oracle.results) << t << " threads";
-    EXPECT_EQ(threaded.obs_json, oracle.obs_json) << t << " threads";
+    EXPECT_EQ(threaded.cycle, serial.cycle) << t << " threads";
+    EXPECT_EQ(threaded.results, serial.results) << t << " threads";
+    EXPECT_EQ(threaded.obs_json, serial.obs_json) << t << " threads";
   }
+  return serial;
 }
 
 TEST(EngineDeterminism, UniflowByteIdenticalAcrossThreads) {
-  expect_identical_across_threads(run_uniflow);
+  constexpr NetworkKind kNetworks[] = {
+      NetworkKind::kLightweight, NetworkKind::kChain, NetworkKind::kScalable};
+  std::vector<UniflowCase> cases;
+  for (const NetworkKind d : kNetworks) {
+    for (const NetworkKind g : kNetworks) {
+      for (const JoinAlgorithm a :
+           {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash}) {
+        cases.push_back({d, g, a, 64, false});
+      }
+    }
+  }
+  // One key: every pair matches, so the result links fill and the
+  // gathering nodes and cores stall on backpressure.
+  cases.push_back({NetworkKind::kScalable, NetworkKind::kScalable,
+                   JoinAlgorithm::kNestedLoop, 1, false});
+  cases.push_back({NetworkKind::kLightweight, NetworkKind::kChain,
+                   JoinAlgorithm::kHash, 1, false});
+  cases.push_back({NetworkKind::kScalable, NetworkKind::kScalable,
+                   JoinAlgorithm::kNestedLoop, 64, true});
+  cases.push_back({NetworkKind::kChain, NetworkKind::kChain,
+                   JoinAlgorithm::kHash, 8, true});
+  for (const UniflowCase& c : cases) {
+    SCOPED_TRACE(describe(c));
+    const EngineRun serial = expect_identical_across_threads(
+        [&](std::uint32_t t) { return run_uniflow(c, t); });
+    if (obs::kEnabled && c.key_domain == 1) {
+      EXPECT_GT(serial.gathering_stalls, 0u) << "no backpressure";
+    }
+  }
 }
 
 TEST(EngineDeterminism, BiflowByteIdenticalAcrossThreads) {

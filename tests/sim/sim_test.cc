@@ -1,8 +1,12 @@
 // Unit tests for the two-phase cycle-simulation kernel: the registered
-// FIFO semantics every hardware component builds on, and the
-// order-independence guarantee of eval/commit.
+// FIFO semantics every hardware component builds on, the
+// order-independence guarantee of eval/commit, and the sleep contract of
+// the activity-driven serial kernel.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/assert.h"
 #include "sim/fifo.h"
 #include "sim/module.h"
 #include "sim/simulator.h"
@@ -22,6 +26,29 @@ class Stage final : public Module {
  private:
   Fifo<int>& in_;
   Fifo<int>& out_;
+};
+
+// Takes one token per cycle from `in`; sleeps while `in` is empty.
+class Sleeper final : public Module {
+ public:
+  Sleeper(std::string name, Fifo<int>& in) : Module(std::move(name)), in_(in) {
+    watch(in_);
+  }
+  void eval() override {
+    ++evals_;
+    if (!in_.can_pop()) {
+      sleep();
+      return;
+    }
+    taken_.push_back(in_.pop());
+  }
+  [[nodiscard]] int evals() const { return evals_; }
+  [[nodiscard]] const std::vector<int>& taken() const { return taken_; }
+
+ private:
+  Fifo<int>& in_;
+  int evals_ = 0;
+  std::vector<int> taken_;
 };
 
 TEST(Fifo, PushVisibleOnlyAfterCommit) {
@@ -153,6 +180,41 @@ TEST(Simulator, EvalOrderDoesNotChangeResults) {
     return trace;
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+TEST(Simulator, SleepingModuleWakesOnExternalPushToWatchedFifo) {
+  Fifo<int> in("in", 4);
+  Sleeper sleeper("sleeper", in);
+  Simulator sim;
+  sim.add(in);
+  sim.add(sleeper);  // no link(): the wake list comes from watch()
+  for (int i = 0; i < 5; ++i) sim.step();
+  EXPECT_EQ(sleeper.evals(), 1) << "asleep after its first empty eval";
+
+  // A push staged from outside: the next commit applies it and wakes the
+  // sleeper, which takes the token one cycle later, as it would awake.
+  in.push(7);
+  sim.step();
+  EXPECT_EQ(sleeper.evals(), 1);
+  sim.step();
+  EXPECT_EQ(sleeper.taken(), std::vector<int>{7});
+  sim.step();  // empty again: back to sleep
+  EXPECT_EQ(sleeper.evals(), 3);
+
+  // A push committed from outside wakes it before the next eval.
+  in.push(8);
+  in.commit();
+  sim.step();
+  EXPECT_EQ(sleeper.taken(), (std::vector<int>{7, 8}));
+  EXPECT_EQ(sleeper.evals(), 4);
+}
+
+TEST(Simulator, ModulesAreAddedBeforeTheFirstStep) {
+  Fifo<int> f("f", 1);
+  Simulator sim;
+  sim.step();
+  EXPECT_THROW(sim.add(f), PreconditionError);
+  EXPECT_THROW(sim.configure(SimConfig{}), PreconditionError);
 }
 
 TEST(Register, ValueStableUntilCommit) {
