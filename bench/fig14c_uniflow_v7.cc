@@ -7,7 +7,6 @@
 // same W=2^18 (compare bench/fig14d_uniflow_sw).
 #include <cstdio>
 #include <map>
-#include <thread>
 
 #include "bench_util.h"
 #include "core/harness.h"
@@ -78,10 +77,10 @@ int main(int argc, char** argv) {
   std::printf(
       "\nHW-vs-SW (paper: ~15x at W=2^18 vs 28 software join cores): "
       "hardware = %.3f Mt/s here; compare the W=2^18 row of "
-      "fig14d_uniflow_sw, noting this host has %u hardware thread(s) vs "
-      "the paper's 32-core Xeon, so the software absolute numbers are not "
-      "comparable on this machine.\n",
-      mtps[18], std::thread::hardware_concurrency());
+      "fig14d_uniflow_sw. The software numbers scale with the host's "
+      "core count (the paper's was a 32-core Xeon), so compare the two "
+      "only on a comparable host.\n",
+      mtps[18]);
 
   return bench::finish();
 }

@@ -22,6 +22,18 @@ using stream::Tuple;
 // engines directly.
 constexpr std::uint64_t kMaxCyclesPerBatchTuple = 1u << 22;
 
+// The hw engines' results past `taken`, which then covers them all.
+std::vector<ResultTuple> take_since(const std::vector<hw::TimedResult>& all,
+                                    std::size_t& taken) {
+  std::vector<ResultTuple> fresh;
+  fresh.reserve(all.size() - taken);
+  for (std::size_t i = taken; i < all.size(); ++i) {
+    fresh.push_back(all[i].result);
+  }
+  taken = all.size();
+  return fresh;
+}
+
 class HwUniflowAdapter final : public StreamJoinEngine {
  public:
   explicit HwUniflowAdapter(const EngineConfig& cfg) : cfg_(cfg) {
@@ -58,12 +70,7 @@ class HwUniflowAdapter final : public StreamJoinEngine {
   }
 
   std::vector<ResultTuple> take_results() override {
-    auto all = engine_->result_tuples();
-    std::vector<ResultTuple> fresh(all.begin() + static_cast<std::ptrdiff_t>(
-                                                     taken_),
-                                   all.end());
-    taken_ = all.size();
-    return fresh;
+    return take_since(engine_->results(), taken_);
   }
 
   [[nodiscard]] Backend backend() const noexcept override {
@@ -118,12 +125,7 @@ class HwBiflowAdapter final : public StreamJoinEngine {
   }
 
   std::vector<ResultTuple> take_results() override {
-    auto all = engine_->result_tuples();
-    std::vector<ResultTuple> fresh(all.begin() + static_cast<std::ptrdiff_t>(
-                                                     taken_),
-                                   all.end());
-    taken_ = all.size();
-    return fresh;
+    return take_since(engine_->results(), taken_);
   }
 
   [[nodiscard]] Backend backend() const noexcept override {

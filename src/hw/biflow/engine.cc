@@ -179,19 +179,18 @@ void BiflowEngine::offer(const std::vector<Tuple>& tuples) {
 void BiflowEngine::step(std::uint64_t cycles) { sim_.step_n(cycles); }
 
 bool BiflowEngine::quiescent() const {
+  // Cores and handshake channels before FIFOs: while a tuple is in flight
+  // one of them answers first.
   if (r_driver_ && (!r_driver_->done() || !s_driver_->done())) return false;
-  for (const auto& f : tuple_fifos_) {
-    if (!f->empty()) return false;
-  }
-  for (const auto& f : result_fifos_) {
-    if (!f->empty()) return false;
-  }
-  if (!std::all_of(channels_.begin(), channels_.end(),
+  if (!std::all_of(cores_.begin(), cores_.end(),
+                   [](const auto& c) { return c->quiescent(); }) ||
+      !std::all_of(channels_.begin(), channels_.end(),
                    [](const auto& c) { return c->idle(); })) {
     return false;
   }
-  return std::all_of(cores_.begin(), cores_.end(),
-                     [](const auto& c) { return c->quiescent(); });
+  const auto empty = [](const auto& f) { return f->empty(); };
+  return std::all_of(tuple_fifos_.begin(), tuple_fifos_.end(), empty) &&
+         std::all_of(result_fifos_.begin(), result_fifos_.end(), empty);
 }
 
 std::uint64_t BiflowEngine::run_to_quiescence(std::uint64_t max_cycles,

@@ -132,19 +132,16 @@ void OpChainEngine::program_join(const stream::JoinSpec& spec) {
 void OpChainEngine::step(std::uint64_t cycles) { sim_.step_n(cycles); }
 
 bool OpChainEngine::quiescent() const {
+  // Cores before FIFOs: while a tuple is in flight a core answers first.
   if (!driver_->done()) return false;
-  for (const auto& f : word_fifos_) {
-    if (!f->empty()) return false;
-  }
-  for (const auto& f : result_fifos_) {
-    if (!f->empty()) return false;
-  }
-  if (!std::all_of(select_cores_.begin(), select_cores_.end(),
-                   [](const auto& c) { return c->quiescent(); })) {
+  const auto idle = [](const auto& c) { return c->quiescent(); };
+  if (!std::all_of(select_cores_.begin(), select_cores_.end(), idle) ||
+      !std::all_of(join_cores_.begin(), join_cores_.end(), idle)) {
     return false;
   }
-  return std::all_of(join_cores_.begin(), join_cores_.end(),
-                     [](const auto& c) { return c->quiescent(); });
+  const auto empty = [](const auto& f) { return f->empty(); };
+  return std::all_of(word_fifos_.begin(), word_fifos_.end(), empty) &&
+         std::all_of(result_fifos_.begin(), result_fifos_.end(), empty);
 }
 
 std::uint64_t OpChainEngine::run_to_quiescence(std::uint64_t max_cycles,

@@ -143,15 +143,17 @@ void UniflowEngine::offer(const std::vector<stream::Tuple>& tuples) {
 void UniflowEngine::step(std::uint64_t cycles) { sim_.step_n(cycles); }
 
 bool UniflowEngine::quiescent() const {
+  // Cores before FIFOs: while a tuple is in flight the first scanning core
+  // answers, and the 2N+ mostly empty FIFOs are polled only once every
+  // core is idle.
   if (!driver_->done()) return false;
-  for (const auto& f : word_fifos_) {
-    if (!f->empty()) return false;
+  if (!std::all_of(cores_.begin(), cores_.end(),
+                   [](const auto& c) { return c->quiescent(); })) {
+    return false;
   }
-  for (const auto& f : result_fifos_) {
-    if (!f->empty()) return false;
-  }
-  return std::all_of(cores_.begin(), cores_.end(),
-                     [](const auto& c) { return c->quiescent(); });
+  const auto empty = [](const auto& f) { return f->empty(); };
+  return std::all_of(word_fifos_.begin(), word_fifos_.end(), empty) &&
+         std::all_of(result_fifos_.begin(), result_fifos_.end(), empty);
 }
 
 std::uint64_t UniflowEngine::run_to_quiescence(std::uint64_t max_cycles,

@@ -64,6 +64,16 @@ bool UniflowJoinCore::ready_for_any_word() const noexcept {
 }
 
 void UniflowJoinCore::eval() {
+  // Mid-skip (kJoinProc below): the reads up to the timed wake are misses
+  // already counted. An early wake, a word reaching the Fetcher, only
+  // sleeps again; the pending timer stands.
+  if (skip_until_ != 0) {
+    if (now() < skip_until_) {
+      sleep();
+      return;
+    }
+    skip_until_ = 0;
+  }
   // Intake: pop a word from the Fetcher when the controllers can accept it.
   // The intake cycle only dispatches; the controllers start working on the
   // word in the following cycle.
@@ -196,7 +206,20 @@ void UniflowJoinCore::advance_processing() {
       HAL_ASSERT(probe_tuple_.has_value());
       const SubWindow& opposite =
           probe_tuple_->origin == StreamId::R ? win_s_ : win_r_;
-      HAL_ASSERT(scan_idx_ < scan_len_ && scan_len_ <= opposite.size());
+      HAL_ASSERT(scan_idx_ < scan_len_ && scan_len_ == opposite.size());
+      if (sstate_ == StorageState::kIdle) {
+        // Sleep through the misses before the next read that changes
+        // state: a match, or the last candidate.
+        const std::size_t next = next_read(opposite);
+        if (next > scan_idx_) {
+          const std::size_t misses = next - scan_idx_;
+          scan_idx_ = next;
+          probes_ += misses;
+          skip_until_ = now() + misses;
+          sleep_until(skip_until_);
+          break;
+        }
+      }
       const Tuple& candidate = opposite.at(scan_idx_);
       ++scan_idx_;
       ++probes_;
@@ -232,6 +255,28 @@ void UniflowJoinCore::advance_processing() {
       pstate_ = ProcState::kJoinWait;
       break;
   }
+}
+
+std::size_t UniflowJoinCore::next_read(const SubWindow& opposite) const {
+  const Tuple& probe = *probe_tuple_;
+  const std::size_t last = scan_len_ - 1;
+  if (spec_.is_pure_key_equi()) {
+    return opposite.find_if(scan_idx_, last, [key = probe.key](const Tuple& c) {
+      return c.key == key;
+    });
+  }
+  const bool probe_is_r = probe.origin == StreamId::R;
+  return opposite.find_if(scan_idx_, last, [&](const Tuple& c) {
+    return probe_is_r ? spec_.matches(probe, c) : spec_.matches(c, probe);
+  });
+}
+
+std::uint64_t UniflowJoinCore::probes() const noexcept {
+  if (skip_until_ == 0) return probes_;
+  // A skip counted its misses up front; those whose read cycle has not
+  // elapsed are not probes yet.
+  const std::uint64_t t = now();
+  return probes_ - (skip_until_ > t ? skip_until_ - t : 0);
 }
 
 }  // namespace hal::hw

@@ -9,6 +9,22 @@
 // (one sub-window read per cycle in Join Processing, one extra cycle in
 // Emit Result per match, Processing Skip when there is nothing to scan).
 //
+// Skip-ahead scans. Fig. 13 reads one candidate per cycle, and the cycle
+// accounting stays exactly that; only the host work of the misses goes.
+// Once the Storage Core is idle (the store and store-done cycles after
+// intake stay visible through storage_state()), the core searches the
+// opposite sub-window in one pass for the next match, or the last
+// candidate, advances scan_idx_ past the misses and sleeps until the cycle
+// at which the per-cycle FSM would read that candidate
+// (Module::sleep_until). It then reads it as before: Emit Result, its
+// backpressure stall and Join Wait fall on the same cycles. The opposite
+// window cannot change mid-scan, since the core holds one word in flight
+// and stores only into its own stream's window. probes() counts the
+// skipped reads only as their cycles elapse, and proc_state() reads Join
+// Processing throughout, so every observer sees the per-cycle FSM. An
+// early wake (a word reaching the Fetcher) sleeps again; the threaded
+// kernel's every-cycle eval() is a no-op until the wake cycle.
+//
 // The join operator is runtime-programmable by a two-segment instruction:
 // segment 1 carries the number of join cores and the number of condition
 // words, segment 2 carries one condition per word (Operator Store 1/2 and
@@ -88,9 +104,7 @@ class UniflowJoinCore final : public IUniflowCore {
   [[nodiscard]] std::uint32_t programmed_cores() const noexcept {
     return num_cores_;
   }
-  [[nodiscard]] std::uint64_t probes() const noexcept override {
-    return probes_;
-  }
+  [[nodiscard]] std::uint64_t probes() const noexcept override;
   [[nodiscard]] std::uint64_t matches() const noexcept override {
     return matches_;
   }
@@ -101,6 +115,9 @@ class UniflowJoinCore final : public IUniflowCore {
 
  private:
   [[nodiscard]] bool ready_for_any_word() const noexcept;
+  // The scan index of the next read that changes state: the first match
+  // at or after scan_idx_, else the last candidate.
+  [[nodiscard]] std::size_t next_read(const SubWindow& opposite) const;
   void intake(const HwWord& w);
   void advance_storage();
   void advance_processing();
@@ -133,6 +150,8 @@ class UniflowJoinCore final : public IUniflowCore {
   std::optional<stream::Tuple> probe_tuple_;
   std::size_t scan_idx_ = 0;
   std::size_t scan_len_ = 0;
+  // While nonzero, the cycle of the read a skip sleeps until.
+  std::uint64_t skip_until_ = 0;
   std::optional<stream::ResultTuple> emit_pending_;
 
   // Activity counters for the power model.

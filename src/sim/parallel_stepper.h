@@ -17,8 +17,9 @@
 // serial result: the threaded run is byte-identical to the serial kernel —
 // cycle counts, FIFO contents, every deterministic counter. It steps every
 // module every cycle, asleep or not (the sleep contract in module.h makes
-// that a no-op for a sleeping one), so it is the all-module reference the
-// activity-driven serial kernel is tested against. The barriers provide
+// that a no-op for a sleeping one, before a timed wake too), so it is the
+// all-module reference the activity-driven serial kernel's wake
+// bookkeeping is tested against. It keeps no timers. The barriers provide
 // the happens-before edges (see barrier.h); nothing else synchronizes, so
 // the per-cycle cost is two barrier crossings.
 //
@@ -29,9 +30,10 @@
 //     sole producer/consumer of (the SPSC discipline fifo.h documents).
 //   * commit() touches only the module's own state and must not read the
 //     simulator clock (the leader republishes it concurrently).
-//   * nothing stages into or wakes through the serial kernel's work lists:
-//     the simulator detaches them before the first threaded cycle, so a
-//     channel's commit never writes another module's wake flag.
+//   * nothing stages into, wakes through or sets a timer in the serial
+//     kernel's work lists: the simulator detaches them before the first
+//     threaded cycle, so a channel's commit never writes another module's
+//     wake flag and sleep_until() only sleeps.
 //
 // Workers persist across run() calls and park in SpinBackoff between
 // them, so stepping one cycle at a time (run_until with predicate_epoch 1)

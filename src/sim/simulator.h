@@ -3,6 +3,7 @@
 // Two execution kernels share one register/FIFO substrate:
 //
 //   threads == 1 — the serial kernel, activity-driven: each cycle it
+//                  first wakes the modules whose timed wake is due, then
 //                  evaluates only the awake modules and commits only the
 //                  channels that staged a push or pop; a channel whose
 //                  commit changes it wakes the modules that watch it (the
@@ -13,8 +14,9 @@
 //                  run the eval | barrier | commit | barrier cycle over
 //                  every module. Evaluating a sleeping module changes
 //                  nothing, so this all-module kernel is the reference the
-//                  serial kernel is checked against: results are
-//                  byte-identical for any shard assignment.
+//                  serial kernel's wake bookkeeping (watch lists, timed
+//                  wakes) is checked against: results are byte-identical
+//                  for any shard assignment.
 //
 // Wake lists come from the modules' own watch() declarations, never from
 // link(): links stay a pure partitioning hint.
@@ -114,6 +116,20 @@ class Simulator {
     std::vector<Module*>& awake = activity_.awake;
     std::vector<Channel*>& staged = activity_.staged;
     for (std::uint64_t c = 0; c < cycles; ++c) {
+      const std::uint64_t now = cycle_.load(std::memory_order_relaxed);
+      std::vector<Activity::Timer>& slot =
+          activity_.wheel[now % Activity::kSlots];
+      if (!slot.empty()) {
+        std::size_t later = 0;
+        for (const Activity::Timer& t : slot) {
+          if (t.cycle <= now) {
+            t.module->wake();
+          } else {
+            slot[later++] = t;
+          }
+        }
+        slot.resize(later);
+      }
       std::size_t kept = 0;
       for (Module* m : awake) {
         m->eval();
@@ -126,8 +142,7 @@ class Simulator {
         ch->commit();
       }
       staged.clear();
-      cycle_.store(cycle_.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
+      cycle_.store(now + 1, std::memory_order_relaxed);
     }
   }
 
@@ -213,8 +228,8 @@ class Simulator {
  private:
   void ensure_stepper() {
     if (stepper_ != nullptr) return;
-    // The all-module kernel keeps no work lists: detach them before any
-    // worker thread could stage or wake through them.
+    // The all-module kernel keeps no work lists or timers: detach them
+    // before any worker thread could stage or wake through them.
     started_ = true;
     for (Module* m : modules_) m->activity_ = nullptr;
     activity_ = Activity{};

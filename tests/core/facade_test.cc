@@ -45,6 +45,12 @@ TEST_P(FacadeBackendTest, ProcessesAndReports) {
   }
   EXPECT_TRUE(engine->take_results().empty());  // drained
 
+  // A second round's take holds that round's results only.
+  const RunReport second = engine->process(gen.take(300));
+  EXPECT_GT(second.results_emitted, 0u);
+  EXPECT_EQ(engine->take_results().size(), second.results_emitted);
+  EXPECT_TRUE(engine->take_results().empty());
+
   const bool is_hw = GetParam() == Backend::kHwUniflow ||
                      GetParam() == Backend::kHwBiflow;
   EXPECT_EQ(report.cycles.has_value(), is_hw);

@@ -3,6 +3,10 @@
 // Figs. 12 and 13.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "hw/common/sub_window.h"
 #include "hw/common/word.h"
 #include "hw/uniflow/dnode.h"
@@ -302,6 +306,135 @@ TEST_F(JoinCoreFsm, TupleQueuesBehindOperatorProgramming) {
   for (int i = 0; i < 8; ++i) step();
   EXPECT_EQ(core_.window(StreamId::R).size(), 1u)
       << "tuple consumed after programming completed";
+}
+
+// --- Join core scan trace (Fig. 13 timing, cycle by cycle) ------------------
+
+// One token per cycle: proc and storage state, probes(), matches(), and the
+// results FIFO's and the Fetcher's sizes, read between cycles. State codes
+// follow the enums' order: proc I 1 2 J(JoinProc) E(EmitResult) W(JoinWait)
+// K(Skip); storage I 1 2 R(StoreR) r(RStoreDone) S(StoreS) s(SStoreDone).
+std::vector<std::string> trace_scan(const stream::JoinSpec& spec,
+                                    std::uint32_t sim_threads) {
+  sim::Simulator sim(sim::SimConfig{.threads = sim_threads});
+  sim::Fifo<HwWord> fetcher("fetcher", 8);
+  sim::Fifo<stream::ResultTuple> results("results", 1);  // EmitResult stalls
+  UniflowJoinCore core("jc", /*position=*/0, /*sub_window=*/16, fetcher,
+                       results);
+  sim.add(fetcher);
+  sim.add(results);
+  sim.add(core);
+
+  // 21 S tuples through a ring of 16: the resident ones start at slot 5, and
+  // the R probe's key-5 matches sit at logical positions 0, 7 and 15.
+  for (std::uint64_t seq = 0; seq < 21; ++seq) {
+    const std::uint64_t pos = seq - 5;  // wraps for the 5 evicted tuples
+    const bool match = pos == 0 || pos == 7 || pos == 15;
+    const auto key = static_cast<std::uint32_t>(match ? 5 : 100 + pos);
+    core.prefill_store(make_tuple(seq < 5 ? 999 : key, StreamId::S, seq));
+  }
+  // 10 R tuples; the S probe's key 5 matches position 2 and the first R
+  // probe, stored behind them at position 10.
+  for (std::uint64_t seq = 0; seq < 10; ++seq) {
+    const auto key = static_cast<std::uint32_t>(seq == 2 ? 5 : 200 + seq);
+    core.prefill_store(make_tuple(key, StreamId::R, seq));
+  }
+  core.set_prefill_counts(10, 21);
+  for (const auto& w : make_operator_words(spec, 1)) {
+    fetcher.push(w);
+    sim.step();
+  }
+  for (int i = 0; i < 6; ++i) sim.step();
+  EXPECT_EQ(core.proc_state(), ProcState::kJoinWait);
+
+  const auto offer = [&](std::uint32_t key, StreamId id, std::uint64_t seq) {
+    fetcher.push(make_tuple_word(make_tuple(key, id, seq)));
+  };
+  std::vector<std::string> trace;
+  for (int c = 0; c < 80; ++c) {
+    if (c == 0) offer(5, StreamId::R, 10);
+    // Mid-scan: a second R word (key 103 sits at logical position 3) waits
+    // in the Fetcher until the first scan ends.
+    if (c == 8) offer(103, StreamId::R, 11);
+    if (c == 46) offer(5, StreamId::S, 21);
+    if (c % 10 == 9 && results.can_pop()) (void)results.pop();
+    sim.step();
+    trace.push_back(std::string{"I12JEWK"[static_cast<int>(core.proc_state())],
+                                "I12RrSs"[static_cast<int>(
+                                    core.storage_state())]} +
+                    "." + std::to_string(core.probes()) + "." +
+                    std::to_string(core.matches()) + "." +
+                    std::to_string(results.size()) + "." +
+                    std::to_string(fetcher.size()));
+  }
+  return trace;
+}
+
+std::vector<std::string> split_tokens(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string tok; in >> tok;) out.push_back(tok);
+  return out;
+}
+
+// Recorded from the per-cycle FSM that reads one candidate every cycle.
+// Each line is six cycles.
+constexpr const char* kEquiTrace = R"(
+WI.0.0.0.1 JR.0.0.0.0 Er.1.1.0.0 JI.1.1.1.0 JI.2.1.1.0 JI.3.1.1.0
+JI.4.1.1.0 JI.5.1.1.0 JI.6.1.1.1 JI.7.1.0.1 EI.8.2.0.1 JI.8.2.1.1
+JI.9.2.1.1 JI.10.2.1.1 JI.11.2.1.1 JI.12.2.1.1 JI.13.2.1.1 JI.14.2.1.1
+JI.15.2.1.1 EI.16.3.0.1 WI.16.3.1.1 JR.16.3.1.0 Jr.17.3.1.0 JI.18.3.1.0
+JI.19.3.1.0 EI.20.4.1.0 EI.20.4.1.0 EI.20.4.1.0 EI.20.4.1.0 EI.20.4.0.0
+JI.20.4.1.0 JI.21.4.1.0 JI.22.4.1.0 JI.23.4.1.0 JI.24.4.1.0 JI.25.4.1.0
+JI.26.4.1.0 JI.27.4.1.0 JI.28.4.1.0 JI.29.4.0.0 JI.30.4.0.0 JI.31.4.0.0
+WI.32.4.0.0 WI.32.4.0.0 WI.32.4.0.0 WI.32.4.0.0 WI.32.4.0.1 JS.32.4.0.0
+Js.33.4.0.0 JI.34.4.0.0 EI.35.5.0.0 JI.35.5.1.0 JI.36.5.1.0 JI.37.5.1.0
+JI.38.5.1.0 JI.39.5.1.0 JI.40.5.1.0 JI.41.5.1.0 JI.42.5.1.0 EI.43.6.0.0
+JI.43.6.1.0 WI.44.6.1.0 WI.44.6.1.0 WI.44.6.1.0 WI.44.6.1.0 WI.44.6.1.0
+WI.44.6.1.0 WI.44.6.1.0 WI.44.6.1.0 WI.44.6.0.0 WI.44.6.0.0 WI.44.6.0.0
+WI.44.6.0.0 WI.44.6.0.0 WI.44.6.0.0 WI.44.6.0.0 WI.44.6.0.0 WI.44.6.0.0
+WI.44.6.0.0 WI.44.6.0.0)";
+
+constexpr const char* kBandTrace = R"(
+WI.0.0.0.1 JR.0.0.0.0 Er.1.1.0.0 JI.1.1.1.0 JI.2.1.1.0 JI.3.1.1.0
+JI.4.1.1.0 JI.5.1.1.0 JI.6.1.1.1 JI.7.1.0.1 EI.8.2.0.1 JI.8.2.1.1
+JI.9.2.1.1 JI.10.2.1.1 JI.11.2.1.1 JI.12.2.1.1 JI.13.2.1.1 JI.14.2.1.1
+JI.15.2.1.1 EI.16.3.0.1 WI.16.3.1.1 JR.16.3.1.0 Jr.17.3.1.0 JI.18.3.1.0
+EI.19.4.1.0 EI.19.4.1.0 EI.19.4.1.0 EI.19.4.1.0 EI.19.4.1.0 EI.19.4.0.0
+JI.19.4.1.0 EI.20.5.1.0 EI.20.5.1.0 EI.20.5.1.0 EI.20.5.1.0 EI.20.5.1.0
+EI.20.5.1.0 EI.20.5.1.0 EI.20.5.1.0 EI.20.5.0.0 JI.20.5.1.0 EI.21.6.1.0
+EI.21.6.1.0 EI.21.6.1.0 EI.21.6.1.0 EI.21.6.1.0 EI.21.6.1.1 EI.21.6.1.1
+EI.21.6.1.1 EI.21.6.0.1 JI.21.6.1.1 JI.22.6.1.1 JI.23.6.1.1 JI.24.6.1.1
+JI.25.6.1.1 JI.26.6.1.1 JI.27.6.1.1 JI.28.6.1.1 JI.29.6.1.1 JI.30.6.0.1
+JI.31.6.0.1 WI.32.6.0.1 JS.32.6.0.0 Js.33.6.0.0 JI.34.6.0.0 EI.35.7.0.0
+JI.35.7.1.0 JI.36.7.1.0 JI.37.7.1.0 JI.38.7.0.0 JI.39.7.0.0 JI.40.7.0.0
+JI.41.7.0.0 JI.42.7.0.0 EI.43.8.0.0 JI.43.8.1.0 WI.44.8.1.0 WI.44.8.1.0
+WI.44.8.1.0 WI.44.8.0.0)";
+
+void expect_trace(const stream::JoinSpec& spec, const std::string& expected) {
+  const std::vector<std::string> want = split_tokens(expected);
+  for (const std::uint32_t threads : {1u, 2u}) {
+    const std::vector<std::string> got = trace_scan(spec, threads);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      ASSERT_EQ(got[c], want[c]) << "cycle " << c << ", sim threads "
+                                 << threads;
+    }
+  }
+}
+
+// An R probe over a wrapped ring (matches at 0, 7 and 15) with a second R
+// word arriving mid-scan, a results FIFO that stalls EmitResult, then an S
+// probe over the R window: every cycle matches the reference trace, on the
+// activity-driven serial kernel and on the threaded one.
+TEST(JoinCoreScanTrace, EquiJoinKeepsFig13Timing) {
+  expect_trace(stream::JoinSpec::equi_on_key(), kEquiTrace);
+}
+
+// The same sequence under the generic matcher: R key 103 matches the
+// adjacent positions 2, 3 and 4, so EmitResult follows EmitResult.
+TEST(JoinCoreScanTrace, BandJoinKeepsFig13Timing) {
+  expect_trace(stream::JoinSpec::band_on_key(1), kBandTrace);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Unit tests for the two-phase cycle-simulation kernel: the registered
 // FIFO semantics every hardware component builds on, the
 // order-independence guarantee of eval/commit, and the sleep contract of
-// the activity-driven serial kernel.
+// the activity-driven serial kernel, timed wakes included.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/assert.h"
@@ -49,6 +50,34 @@ class Sleeper final : public Module {
   Fifo<int>& in_;
   int evals_ = 0;
   std::vector<int> taken_;
+};
+
+// Sleeps for `delay` cycles on each eval (a timed wake); an eval before
+// its wake cycle, caused by a push to `in`, only sleeps again.
+class TimedSleeper final : public Module {
+ public:
+  TimedSleeper(std::string name, Fifo<int>& in, std::uint64_t delay)
+      : Module(std::move(name)), in_(in), delay_(delay) {
+    watch(in_);
+  }
+  void eval() override {
+    evals_.push_back(now());
+    if (now() < wake_at_) {
+      sleep();
+      return;
+    }
+    wake_at_ = now() + delay_;
+    sleep_until(wake_at_);
+  }
+  [[nodiscard]] const std::vector<std::uint64_t>& evals() const {
+    return evals_;
+  }
+
+ private:
+  Fifo<int>& in_;
+  std::uint64_t delay_;
+  std::uint64_t wake_at_ = 0;
+  std::vector<std::uint64_t> evals_;
 };
 
 TEST(Fifo, PushVisibleOnlyAfterCommit) {
@@ -207,6 +236,30 @@ TEST(Simulator, SleepingModuleWakesOnExternalPushToWatchedFifo) {
   sim.step();
   EXPECT_EQ(sleeper.taken(), (std::vector<int>{7, 8}));
   EXPECT_EQ(sleeper.evals(), 4);
+}
+
+TEST(Simulator, TimedSleeperWakesAtItsCycle) {
+  Fifo<int> in("in", 4);
+  Fifo<int> quiet("quiet", 1);
+  TimedSleeper sleeper("sleeper", in, 5);
+  TimedSleeper far("far", quiet, 2500);  // many turns of the timer wheel
+  Simulator sim;
+  sim.add(in);
+  sim.add(quiet);
+  sim.add(sleeper);
+  sim.add(far);
+  for (int i = 0; i < 12; ++i) sim.step();
+  EXPECT_EQ(sleeper.evals(), (std::vector<std::uint64_t>{0, 5, 10}));
+
+  // A push in cycle 12 wakes it early, at 13; it sleeps again and its
+  // timer still wakes it at 15, exactly 5 cycles after the last timed eval.
+  in.push(1);
+  for (int i = 0; i < 9; ++i) sim.step();
+  EXPECT_EQ(sleeper.evals(),
+            (std::vector<std::uint64_t>{0, 5, 10, 13, 15, 20}));
+
+  sim.step_n(5001 - sim.cycle());
+  EXPECT_EQ(far.evals(), (std::vector<std::uint64_t>{0, 2500, 5000}));
 }
 
 TEST(Simulator, ModulesAreAddedBeforeTheFirstStep) {
