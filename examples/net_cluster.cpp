@@ -5,10 +5,13 @@
 // byte-identical:
 //
 //   1. in-process ClusterEngine (SPSC links)          — the oracle
-//   2. RemoteCoordinator over loopback worker threads
-//   3. RemoteCoordinator over TCP to forked worker *processes*
+//   2. ClusterEngine dialing loopback worker threads
+//   3. ClusterEngine dialing TCP worker *processes*
 //   4. run 3 again with drop/corrupt/partition faults injected on every
 //      coordinator->worker link (the transport must recover)
+//
+// Runs 2-4 use one ClusterEngine, given one address per worker
+// (TransportParams::worker_addresses); every worker runs serve_worker.
 //
 // Build & run:   cmake -B build -G Ninja && cmake --build build
 //                ./build/examples/net_cluster
@@ -33,8 +36,9 @@
 #include "stream/reference_join.h"
 
 using namespace hal;
-using cluster::RemoteClusterConfig;
-using cluster::RemoteCoordinator;
+using cluster::ClusterConfig;
+using cluster::ClusterEngine;
+using cluster::ClusterReport;
 using cluster::RemoteWorkerOptions;
 using stream::ResultTuple;
 using stream::Tuple;
@@ -46,26 +50,27 @@ constexpr std::size_t kWindow = 256;
 constexpr std::size_t kTuples = 6000;
 constexpr std::size_t kEpochs = 3;
 
-RemoteClusterConfig remote_config() {
-  RemoteClusterConfig cfg;
+ClusterConfig cluster_config() {
+  ClusterConfig cfg;
   cfg.partitioning = cluster::Partitioning::kKeyHash;
   cfg.shards = kShards;
   cfg.window_size = kWindow;
   cfg.spec = stream::JoinSpec::equi_on_key();
-  cfg.batch_size = 32;
-  cfg.window_frames = 32;
+  cfg.worker.backend = core::Backend::kSwSplitJoin;
+  cfg.worker.num_cores = 1;
+  cfg.transport.batch_size = 32;
+  cfg.transport.net_window_frames = 32;
   return cfg;
 }
 
-RemoteWorkerOptions worker_options(std::uint32_t node_id) {
+RemoteWorkerOptions worker_options() {
+  const ClusterConfig cfg = cluster_config();
   RemoteWorkerOptions w;
-  w.node_id = node_id;
-  w.engine.backend = core::Backend::kSwSplitJoin;
-  w.engine.num_cores = 1;
-  w.engine.window_size = cluster::remote_worker_window_size(remote_config());
-  w.engine.spec = stream::JoinSpec::equi_on_key();
-  w.batch_size = 32;
-  w.window_frames = 32;
+  w.engine = cfg.worker;
+  w.engine.window_size = cluster::worker_window_size(cfg);
+  w.engine.spec = cfg.spec;
+  w.batch_size = cfg.transport.batch_size;
+  w.window_frames = cfg.transport.net_window_frames;
   return w;
 }
 
@@ -78,7 +83,7 @@ int run_worker(int argc, char** argv) {
       node_id = static_cast<std::uint32_t>(std::atoi(argv[i + 1]));
     }
   }
-  RemoteWorkerOptions w = worker_options(node_id);
+  RemoteWorkerOptions w = worker_options();
   w.transport = net::TransportKind::kTcp;
   w.listen_address = "127.0.0.1:0";
   w.on_listening = [](const std::string& addr) {
@@ -98,28 +103,33 @@ int run_worker(int argc, char** argv) {
 
 // --- Coordinator-side runs --------------------------------------------------
 
-std::vector<ResultTuple> run_epochs(RemoteCoordinator& coordinator,
-                                    const std::vector<Tuple>& tuples) {
+// Joins the workload in kEpochs epochs through a ClusterEngine whose
+// workers listen on cfg.transport.worker_addresses.
+std::vector<ResultTuple> run_epochs(const ClusterConfig& cfg,
+                                    const std::vector<Tuple>& tuples,
+                                    ClusterReport& report) {
+  ClusterEngine engine(cfg);
   const std::size_t per_epoch = (tuples.size() + kEpochs - 1) / kEpochs;
   for (std::size_t at = 0; at < tuples.size(); at += per_epoch) {
     const std::size_t end = std::min(at + per_epoch, tuples.size());
-    coordinator.process({tuples.begin() + static_cast<std::ptrdiff_t>(at),
-                         tuples.begin() + static_cast<std::ptrdiff_t>(end)});
+    engine.process({tuples.begin() + static_cast<std::ptrdiff_t>(at),
+                    tuples.begin() + static_cast<std::ptrdiff_t>(end)});
   }
-  return coordinator.take_results();
-}
+  report = engine.report();
+  return engine.take_results();
+}  // the engine's destructor shuts every worker down
 
 std::vector<ResultTuple> run_loopback(const std::vector<Tuple>& tuples,
-                                      cluster::RemoteClusterReport& report) {
+                                      ClusterReport& report) {
   auto hub = net::make_transport(net::TransportKind::kLoopback);
-  RemoteClusterConfig cfg = remote_config();
-  cfg.transport = net::TransportKind::kLoopback;
-  cfg.shared_transport = hub.get();
+  ClusterConfig cfg = cluster_config();
+  cfg.transport.link_transport = net::TransportKind::kLoopback;
+  cfg.transport.shared_transport = hub.get();
 
   std::vector<std::thread> threads;
   std::vector<std::promise<std::string>> ready(kShards);
   for (std::uint32_t i = 0; i < kShards; ++i) {
-    RemoteWorkerOptions w = worker_options(i);
+    RemoteWorkerOptions w = worker_options();
     w.transport = net::TransportKind::kLoopback;
     w.listen_address = "worker-" + std::to_string(i);
     w.shared_transport = hub.get();
@@ -128,14 +138,10 @@ std::vector<ResultTuple> run_loopback(const std::vector<Tuple>& tuples,
     };
     threads.emplace_back([w] { (void)cluster::serve_worker(w); });
   }
-  for (auto& p : ready) cfg.worker_addresses.push_back(p.get_future().get());
-
-  std::vector<ResultTuple> results;
-  {
-    RemoteCoordinator coordinator(cfg);
-    results = run_epochs(coordinator, tuples);
-    report = coordinator.report();
+  for (auto& p : ready) {
+    cfg.transport.worker_addresses.push_back(p.get_future().get());
   }
+  std::vector<ResultTuple> results = run_epochs(cfg, tuples, report);
   for (auto& t : threads) t.join();
   return results;
 }
@@ -185,25 +191,20 @@ WorkerProcess spawn_worker(const char* self, std::uint32_t node_id) {
 std::vector<ResultTuple> run_tcp(const char* self,
                                  const std::vector<Tuple>& tuples,
                                  const net::FaultPlan& fault,
-                                 cluster::RemoteClusterReport& report) {
-  RemoteClusterConfig cfg = remote_config();
-  cfg.transport = net::TransportKind::kTcp;
-  cfg.fault = fault;
+                                 ClusterReport& report) {
+  ClusterConfig cfg = cluster_config();
+  cfg.transport.link_transport = net::TransportKind::kTcp;
+  cfg.transport.net_fault = fault;
 
   std::vector<WorkerProcess> workers;
   for (std::uint32_t i = 0; i < kShards; ++i) {
     workers.push_back(spawn_worker(self, i));
-    cfg.worker_addresses.push_back(workers.back().address);
+    cfg.transport.worker_addresses.push_back(workers.back().address);
   }
+  std::vector<ResultTuple> results = run_epochs(cfg, tuples, report);
 
-  std::vector<ResultTuple> results;
-  {
-    RemoteCoordinator coordinator(cfg);
-    results = run_epochs(coordinator, tuples);
-    report = coordinator.report();
-  }  // destructor sends shutdown; workers exit their serve loop
-
-  bool ok = true;
+  bool ok = !report.degraded;
+  if (!ok) std::fprintf(stderr, "a tcp worker was lost mid-run\n");
   for (const WorkerProcess& w : workers) {
     int status = 0;
     ::waitpid(w.pid, &status, 0);
@@ -238,14 +239,7 @@ int main(int argc, char** argv) {
   const std::vector<Tuple> tuples = stream::WorkloadGenerator(wl).take(kTuples);
 
   // 1. The in-process cluster is the oracle.
-  cluster::ClusterConfig oracle_cfg;
-  oracle_cfg.partitioning = cluster::Partitioning::kKeyHash;
-  oracle_cfg.shards = kShards;
-  oracle_cfg.window_size = kWindow;
-  oracle_cfg.spec = stream::JoinSpec::equi_on_key();
-  oracle_cfg.worker.backend = core::Backend::kSwSplitJoin;
-  oracle_cfg.worker.num_cores = 1;
-  cluster::ClusterEngine oracle_engine(oracle_cfg);
+  ClusterEngine oracle_engine(cluster_config());
   oracle_engine.process(tuples);
   const std::vector<ResultTuple> oracle = oracle_engine.take_results();
   std::printf("%-28s %zu results\n", "in-process cluster (oracle)",
@@ -254,12 +248,12 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   // 2. Loopback: same coordinator/worker split, zero-copy rendezvous.
-  cluster::RemoteClusterReport loop_rep;
+  ClusterReport loop_rep;
   ok &= check("loopback workers (threads)", run_loopback(tuples, loop_rep),
               oracle);
 
   // 3. TCP to real worker processes.
-  cluster::RemoteClusterReport tcp_rep;
+  ClusterReport tcp_rep;
   ok &= check("tcp workers (processes)",
               run_tcp(argv[0], tuples, net::FaultPlan{}, tcp_rep), oracle);
   std::printf("    frames=%llu bytes=%llu acks=%llu\n",
@@ -273,7 +267,7 @@ int main(int argc, char** argv) {
   fault.corrupt_every = 37;
   fault.partition_after_frames = 80;
   fault.partition_seconds = 0.01;
-  cluster::RemoteClusterReport fault_rep;
+  ClusterReport fault_rep;
   ok &= check("tcp workers + wire faults",
               run_tcp(argv[0], tuples, fault, fault_rep), oracle);
   std::printf(

@@ -15,6 +15,7 @@
 namespace hal::cluster {
 
 using stream::ResultTuple;
+using stream::StreamId;
 using stream::Tuple;
 
 bool key_hashable(const stream::JoinSpec& spec) {
@@ -56,6 +57,54 @@ bool emits_results_in_probe_epoch(const core::EngineConfig& worker) {
   return !chain || worker.num_cores <= 1;
 }
 
+WorkerStep::Outcome WorkerStep::process(core::StreamJoinEngine& engine,
+                                        const TupleBatch& batch) {
+  const auto r = static_cast<std::uint64_t>(
+      std::count_if(batch.tuples.begin(), batch.tuples.end(),
+                    [](const Tuple& t) { return t.origin == StreamId::R; }));
+  epoch_r_ += r;
+  epoch_s_ += batch.tuples.size() - r;
+  if (batch.end_of_epoch) {
+    // Exactly-once audit: what the router sent this link in the epoch
+    // must be exactly what arrived — wire faults, replays and restarts
+    // included.
+    HAL_CHECK_RECOVERABLE(
+        epoch_r_ == batch.r_count && epoch_s_ == batch.s_count,
+        "end-of-epoch count mismatch (the link lost or duplicated tuples)");
+    epoch_r_ = 0;
+    epoch_s_ = 0;
+  }
+  Outcome out;
+  if (!batch.tuples.empty()) {
+    filter_.observe(batch.tuples, batch.stamps);
+    Timer busy;
+    out.results = engine.process(batch.tuples).results_emitted;
+    const std::vector<ResultTuple> fresh = engine.take_results();
+    out.engine_seconds = busy.elapsed_seconds();
+    staged_dropped_ += filter_.keep_in_window(fresh, staged_);
+  }
+  if (batch.end_of_epoch) filter_.clear();
+  return out;
+}
+
+ResultBatch WorkerStep::take_staged(const TupleBatch& batch) {
+  ResultBatch out;
+  out.epoch = batch.epoch;
+  out.end_of_epoch = batch.end_of_epoch;
+  out.dropped = std::exchange(staged_dropped_, 0);
+  out.results = std::move(staged_);
+  staged_.clear();
+  return out;
+}
+
+void WorkerStep::reset() {
+  filter_.clear();
+  staged_.clear();
+  staged_dropped_ = 0;
+  epoch_r_ = 0;
+  epoch_s_ = 0;
+}
+
 ClusterEngine::ClusterEngine(const ClusterConfig& cfg)
     : cfg_(cfg),
       router_(cfg.partitioning,
@@ -94,13 +143,26 @@ ClusterEngine::ClusterEngine(const ClusterConfig& cfg)
   }
 
   const std::uint32_t slots = router_.num_slots();
+  const std::uint32_t total = slots * cfg_.replicas;
+  if (!cfg_.transport.worker_addresses.empty()) {
+    HAL_CHECK(cfg_.transport.link_transport != net::TransportKind::kInProcess,
+              "remote workers need a net link transport");
+    HAL_CHECK(cfg_.transport.worker_addresses.size() == total,
+              "need exactly one remote worker address per worker "
+              "(slot × replica)");
+    if (cfg_.recovery.supervise) require_local_workers("supervision");
+    if (!cfg_.faults.events.empty()) {
+      require_local_workers("worker fault events");
+    }
+    if (cfg_.placement.pin_workers) require_local_workers("placement");
+  }
+
   slot_staging_.resize(slots);
   slot_stamps_.resize(slots);
-  slot_epoch_tuples_.assign(slots, 0);
+  slot_epoch_counts_.assign(slots, {0, 0});
   active_replica_.assign(slots, 0);
   slot_retired_.assign(slots, 0);
 
-  const std::uint32_t total = slots * cfg_.replicas;
   workers_.reserve(total);
   merge_.reserve(total);
   for (std::uint32_t slot = 0; slot < slots; ++slot) {
@@ -111,7 +173,9 @@ ClusterEngine::ClusterEngine(const ClusterConfig& cfg)
     }
   }
   setup_net_links();
-  for (auto& w : workers_) start_worker(*w);
+  for (auto& w : workers_) {
+    if (w->engine != nullptr) start_worker(*w);
+  }
   merger_ = std::thread([this] { merger_loop(); });
   if (cfg_.recovery.supervise) {
     supervisor_ = std::thread([this] { supervisor_loop(); });
@@ -135,10 +199,13 @@ std::unique_ptr<ClusterEngine::Worker> ClusterEngine::make_worker(
     }
   }
   auto w = std::make_unique<Worker>(index, slot, replica, ingress,
-                                    cfg_.transport.egress);
-  w->engine = core::make_engine(engine_cfg);
+                                    cfg_.transport.egress,
+                                    cfg_.transport.batch_size);
+  if (cfg_.transport.worker_addresses.empty()) {
+    w->engine = core::make_engine(engine_cfg);
+  }
   w->engine_cfg = engine_cfg;  // recovery rebuilds the engine from this
-  w->backend_tag = w->engine->backend();
+  w->backend_tag = engine_cfg.backend;
   for (const FaultEvent& ev : cfg_.faults.events) {
     if (ev.kind != FaultKind::kDelayLink && ev.worker == index) {
       w->faults.push_back(ev);
@@ -157,10 +224,58 @@ void ClusterEngine::start_worker(Worker& w) {
   raw->thread = std::thread([this, raw] { worker_loop(*raw); });
 }
 
+void ClusterEngine::require_local_workers(const char* what) const {
+  HAL_CHECK(cfg_.transport.worker_addresses.empty(),
+            std::string(what) +
+                " needs the workers' engines in this process; remote "
+                "workers run theirs elsewhere");
+}
+
+net::EndpointOptions ClusterEngine::link_endpoint(const Worker& w,
+                                                  bool ingress) const {
+  net::EndpointOptions opts;
+  opts.node_id = w.index;
+  opts.shard = ingress ? 0 : 1;
+  opts.window_frames = cfg_.transport.net_window_frames;
+  if (cfg_.transport.net_connect_timeout_s > 0.0) {
+    opts.connect_timeout_s = cfg_.transport.net_connect_timeout_s;
+  }
+  if (cfg_.transport.net_stall_timeout_ms > 0.0) {
+    opts.stall_timeout_ms = cfg_.transport.net_stall_timeout_ms;
+  }
+  if (cfg_.transport.net_backoff_max_ms > 0.0) {
+    opts.backoff_max_ms = cfg_.transport.net_backoff_max_ms;
+  }
+  const auto& fault_targets = cfg_.transport.net_fault_workers;
+  if (ingress &&
+      (fault_targets.empty() ||
+       std::find(fault_targets.begin(), fault_targets.end(), w.index) !=
+           fault_targets.end())) {
+    opts.fault = cfg_.transport.net_fault;
+  }
+  return opts;
+}
+
 void ClusterEngine::setup_net_links() {
   const net::TransportKind kind = cfg_.transport.link_transport;
   if (kind == net::TransportKind::kInProcess) return;
-  net_transport_ = net::make_transport(kind);
+  net_transport_ = cfg_.transport.shared_transport;
+  if (net_transport_ == nullptr) {
+    owned_transport_ = net::make_transport(kind);
+    net_transport_ = owned_transport_.get();
+  }
+  const auto& addresses = cfg_.transport.worker_addresses;
+  if (!addresses.empty()) {
+    // Remote workers: one dialed connection per worker carries both of
+    // its links, tuple batches out and result batches back.
+    for (auto& w : workers_) {
+      net_dialers_.push_back(net_transport_->connect(
+          addresses[w->index], link_endpoint(*w, /*ingress=*/true)));
+      w->inbox.attach_net(net_dialers_.back().get(), nullptr);
+      w->outbox.attach_net(nullptr, net_dialers_.back().get());
+    }
+    return;
+  }
 
   static std::atomic<std::uint64_t> instance_counter{0};
   const std::uint64_t id =
@@ -192,34 +307,15 @@ void ClusterEngine::setup_net_links() {
 void ClusterEngine::attach_net_links(Worker& w) {
   if (net_transport_ == nullptr) return;
   const std::string dial_address = net_listener_->address();
-  net::EndpointOptions opts;
-  opts.window_frames = cfg_.transport.net_window_frames;
-  if (cfg_.transport.net_connect_timeout_s > 0.0) {
-    opts.connect_timeout_s = cfg_.transport.net_connect_timeout_s;
-  }
-  if (cfg_.transport.net_stall_timeout_ms > 0.0) {
-    opts.stall_timeout_ms = cfg_.transport.net_stall_timeout_ms;
-  }
-  if (cfg_.transport.net_backoff_max_ms > 0.0) {
-    opts.backoff_max_ms = cfg_.transport.net_backoff_max_ms;
-  }
-  const auto& fault_targets = cfg_.transport.net_fault_workers;
-  const bool faulted =
-      fault_targets.empty() ||
-      std::find(fault_targets.begin(), fault_targets.end(), w.index) !=
-          fault_targets.end();
   // One connection pair per link, established strictly dial-then-accept
   // so accept order matches dial order. shard 0 = ingress, 1 = egress.
-  for (std::uint32_t dir = 0; dir < 2; ++dir) {
-    net::EndpointOptions dial = opts;
-    dial.node_id = w.index;
-    dial.shard = dir;
-    if (dir == 0 && faulted) dial.fault = cfg_.transport.net_fault;
-    net_dialers_.push_back(net_transport_->connect(dial_address, dial));
+  for (const bool ingress : {true, false}) {
+    net_dialers_.push_back(
+        net_transport_->connect(dial_address, link_endpoint(w, ingress)));
     net::Connection* accepted = net_listener_->accept(15.0);
     HAL_CHECK(accepted != nullptr, "net-backed link accept timed out");
     net_acceptors_.push_back(accepted);
-    if (dir == 0) {
+    if (ingress) {
       w.inbox.attach_net(net_dialers_.back().get(), accepted);
     } else {
       w.outbox.attach_net(net_dialers_.back().get(), accepted);
@@ -239,11 +335,12 @@ ClusterEngine::~ClusterEngine() {
   }
   merger_.join();
   // Net teardown after every thread that touches a connection is gone:
-  // dialers first (their I/O threads stop), then the listener (owns the
-  // acceptor ends), then the transport.
+  // dialers first (their I/O threads stop; a remote worker sees the
+  // shutdown and returns), then the listener (owns the acceptor ends),
+  // then the transport.
   net_dialers_.clear();
   net_listener_.reset();
-  net_transport_.reset();
+  owned_transport_.reset();
 }
 
 // Deadline-aware wait for the modeled wire time: sleep in coarse chunks
@@ -308,6 +405,7 @@ void ClusterEngine::worker_loop(Worker& w) {
 }
 
 bool ClusterEngine::consume(Worker& w, TupleBatch batch, bool replaying) {
+  double slow_seconds = 0.0;
   if (!batch.tuples.empty()) {
     while (const FaultEvent* ev = due_fault(w, batch)) {
       if (ev->kind == FaultKind::kSlowWorker) {
@@ -335,69 +433,44 @@ bool ClusterEngine::consume(Worker& w, TupleBatch batch, bool replaying) {
     w.data_batches_in.fetch_add(1, std::memory_order_relaxed);
     ++w.epoch_batches;
     w.tuples_in.fetch_add(batch.tuples.size(), std::memory_order_relaxed);
-    w.filter.observe(batch.tuples, batch.stamps);
     if (!replaying) wait_until(batch.deliver_at_us);  // modeled wire time
-    Timer busy;
     if (w.slow_remaining > 0) {
       // Injected degradation: stretch the busy section the way a thermal
       // throttle or noisy neighbor would, leaving output untouched.
+      Timer slow;
       if (w.slow_tick++ % w.slow_period == 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(
             static_cast<std::int64_t>(w.slow_us)));
         w.slow_batches.fetch_add(1, std::memory_order_relaxed);
       }
       --w.slow_remaining;
-    }
-    core::RunReport inner;
-    try {
-      inner = w.engine->process(batch.tuples);
-    } catch (const Error&) {
-      // A recoverable engine fault fail-stops this worker only.
-      return fail_stop(w, batch.epoch);
-    }
-    auto fresh = w.engine->take_results();
-    w.busy_seconds.store(
-        w.busy_seconds.load(std::memory_order_relaxed) +
-            busy.elapsed_seconds(),
-        std::memory_order_relaxed);
-    w.results_out.fetch_add(inner.results_emitted,
-                            std::memory_order_relaxed);
-    w.staged_dropped += w.filter.keep_in_window(fresh, w.staged);
-    if (!batch.end_of_epoch &&
-        w.staged.size() >= cfg_.transport.batch_size) {
-      ResultBatch out;
-      out.epoch = batch.epoch;
-      out.dropped = std::exchange(w.staged_dropped, 0);
-      out.results = std::move(w.staged);
-      w.staged.clear();
-      const auto n = static_cast<std::uint64_t>(out.results.size());
-      if (!w.outbox.send(std::move(out), now_us(), n)) {
-        return egress_lost(w);
-      }
+      slow_seconds = slow.elapsed_seconds();
     }
   } else if (!replaying) {
     wait_until(batch.deliver_at_us);
   }
+  if (batch.end_of_epoch) w.epoch_batches = 0;
 
-  if (batch.end_of_epoch) {
-    w.epoch_batches = 0;
-    w.filter.clear();
-    // Checkpoint before the end-of-epoch send: once the main thread has
-    // merged an epoch, the matching image is already published, which is
-    // what makes replay-log truncation at the next process() sound.
-    maybe_checkpoint(w, batch.epoch);
-    ResultBatch out;
-    out.epoch = batch.epoch;
-    out.end_of_epoch = true;
-    out.dropped = std::exchange(w.staged_dropped, 0);
-    out.results = std::move(w.staged);
-    w.staged.clear();
-    const auto n = static_cast<std::uint64_t>(out.results.size());
-    if (!w.outbox.send(std::move(out), now_us(), n)) {
-      return egress_lost(w);
-    }
+  WorkerStep::Outcome out;
+  try {
+    out = w.step.run(*w.engine, batch, [&](ResultBatch results) {
+      // Checkpoint before the end-of-epoch send: once the main thread has
+      // merged an epoch, the matching image is already published, which
+      // is what makes replay-log truncation at the next process() sound.
+      if (results.end_of_epoch) maybe_checkpoint(w, results.epoch);
+      const auto n = static_cast<std::uint64_t>(results.results.size());
+      return w.outbox.send(std::move(results), now_us(), n);
+    });
+  } catch (const Error&) {
+    // A recoverable engine fault or a failed delivery audit fail-stops
+    // this worker only.
+    return fail_stop(w, batch.epoch);
   }
-  return true;
+  w.busy_seconds.store(w.busy_seconds.load(std::memory_order_relaxed) +
+                           slow_seconds + out.engine_seconds,
+                       std::memory_order_relaxed);
+  w.results_out.fetch_add(out.results, std::memory_order_relaxed);
+  return out.sent || egress_lost(w);
 }
 
 // The egress wire gave up (send budget exhausted / breaker open): the
@@ -572,9 +645,7 @@ void ClusterEngine::recover(Worker& w) {
     w.replay = std::move(delta);
     w.replay_floor = floor;
     // The dead incarnation's partial epoch is discarded.
-    w.staged.clear();
-    w.staged_dropped = 0;
-    w.filter.clear();
+    w.step.reset();
     w.dropped.store(false, std::memory_order_release);
   }
   w.dead.store(false, std::memory_order_relaxed);
@@ -593,18 +664,21 @@ void ClusterEngine::merger_loop() {
       std::lock_guard<std::mutex> lock(topology_mu_);
       for (auto& w : workers_) {
         if (w->retired.load(std::memory_order_acquire)) continue;
+        MergeSlot& m = *merge_[w->index];
+        // A failed worker's partial epoch is discarded wholesale; the
+        // replica's complete epoch (or accounted loss) replaces it.
+        const auto mark_died = [&m] {
+          m.pending.clear();
+          m.pending_dropped = 0;
+          m.died.store(true, std::memory_order_release);
+        };
         ResultBatch batch;
+        bool received = false;
         try {
           while (w->outbox.try_recv(batch)) {
-            any = true;
-            MergeSlot& m = *merge_[w->index];
+            received = true;
             if (batch.died) {
-              // Partial epoch of a failed worker is discarded wholesale;
-              // the replica's complete epoch (or accounted loss) replaces
-              // it.
-              m.pending.clear();
-              m.pending_dropped = 0;
-              m.died.store(true, std::memory_order_release);
+              mark_died();
               continue;
             }
             m.pending.insert(m.pending.end(), batch.results.begin(),
@@ -620,13 +694,16 @@ void ClusterEngine::merger_loop() {
           }
         } catch (const Error&) {
           // Garbage on a result wire (HAL_CHECK_RECOVERABLE in the decode
-          // path): discard the partial epoch and mark the producer dead —
-          // the same containment as a worker obituary.
-          MergeSlot& m = *merge_[w->index];
-          m.pending.clear();
-          m.pending_dropped = 0;
-          m.died.store(true, std::memory_order_release);
+          // path): the same containment as a worker obituary.
+          mark_died();
         }
+        // A remote worker whose connection closed, with everything it sent
+        // merged, has failed too: no answer can follow.
+        if (!received && !m.died.load(std::memory_order_relaxed) &&
+            w->outbox.peer_closed()) {
+          mark_died();
+        }
+        any = any || received;
       }
     }
     if (any) {
@@ -649,6 +726,10 @@ void ClusterEngine::flush_slot(std::uint32_t slot, bool end_of_epoch) {
     batch.end_of_epoch = end_of_epoch;
     batch.tuples = staging;  // replicas each get their own copy
     batch.stamps = stamps;
+    if (end_of_epoch) {
+      batch.r_count = slot_epoch_counts_[slot][0];
+      batch.s_count = slot_epoch_counts_[slot][1];
+    }
     const auto n = static_cast<std::uint64_t>(batch.tuples.size());
     if (w.inbox.breaker_open() || !w.inbox.send(std::move(batch), now_us(), n)) {
       // The worker's ingress wire is gone (budget exhausted / breaker
@@ -695,7 +776,7 @@ void ClusterEngine::collect_slot(std::uint32_t slot,
   if (chosen < 0) {
     // Every replica of this slot is dead: clean degradation.
     degraded_ = true;
-    lost_tuples_ += slot_epoch_tuples_[slot];
+    lost_tuples_ += slot_epoch_counts_[slot][0] + slot_epoch_counts_[slot][1];
     return;
   }
   if (static_cast<std::uint32_t>(chosen) != active_replica_[slot]) {
@@ -715,7 +796,8 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
   const std::uint64_t epoch_first_seq = next_seq_;
   next_seq_ = check_arrival_order(tuples, next_seq_);
   ++epoch_;
-  std::fill(slot_epoch_tuples_.begin(), slot_epoch_tuples_.end(), 0);
+  std::fill(slot_epoch_counts_.begin(), slot_epoch_counts_.end(),
+            std::array<std::uint64_t, 2>{0, 0});
   if (cfg_.recovery.supervise) {
     // Entries fully covered by each worker's newest published checkpoint
     // are dead weight; drop them before this epoch's sends (same thread
@@ -733,14 +815,12 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
   // the cluster and the output is exactly the reference join of
   // (input − shed log). Disabled guards cost one branch per epoch.
   const std::vector<Tuple>* input = &tuples;
-  if constexpr (guard::kEnabled) {
-    if (cfg_.guard.enabled) {
-      guard_.observe_delay_us(guard_.estimate_delay_us(tuples.size()));
-      admitted_.clear();
-      admitted_.reserve(tuples.size());
-      guard_.filter(tuples, admitted_);
-      input = &admitted_;
-    }
+  if (cfg_.guard.enabled) {
+    guard_.observe_delay_us(guard_.estimate_delay_us(tuples.size()));
+    admitted_.clear();
+    admitted_.reserve(tuples.size());
+    guard_.filter(tuples, admitted_);
+    input = &admitted_;
   }
 
   // Batched ingress: the whole epoch routes as one span (one virtual-free
@@ -756,7 +836,7 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
   router_.route_span(
       std::span<const Tuple>(*input), [&](const Tuple& t, std::uint32_t slot) {
         ++routed_tuples_;
-        ++slot_epoch_tuples_[slot];
+        ++slot_epoch_counts_[slot][static_cast<std::size_t>(t.origin)];
         auto& staging = slot_staging_[slot];
         staging.push_back(t);
         if (exact) {
@@ -771,16 +851,23 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
     if (!slot_retired_[slot]) flush_slot(slot, true);
   }
 
+  const std::uint64_t filtered_before = filtered_results_;
   std::vector<ResultTuple> epoch_results;
   for (std::uint32_t slot = 0; slot < slot_count(); ++slot) {
     if (!slot_retired_[slot]) collect_slot(slot, epoch_results);
   }
 
-  // The workers dropped the stale pairs; the constructor's rejection of
-  // late emitters guarantees every result probes this epoch.
-  HAL_ASSERT_MSG(!exact || probes_in_epoch(epoch_results, epoch_first_seq),
-                 "an exact-global worker emitted a pair after its probe's "
-                 "epoch");
+  // The workers dropped the stale pairs. A result probing an earlier
+  // epoch came from a worker that no longer held its probe's horizon: the
+  // constructor refuses such engines in this process, but it cannot see a
+  // remote worker's. The epoch fails and its results are dropped.
+  if (exact && !probes_in_epoch(epoch_results, epoch_first_seq)) {
+    filtered_results_ = filtered_before;
+    HAL_CHECK(false,
+              "a worker emitted a result after its probe's epoch; "
+              "exact-global windows need workers that emit every pair in "
+              "its probe's epoch");
+  }
   // Deterministic, order-preserving emission: by probing-tuple arrival,
   // then by stored-tuple arrival — the gathering-network contract.
   std::sort(epoch_results.begin(), epoch_results.end(),
@@ -795,11 +882,8 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
   report.tuples_processed = input->size();
   report.results_emitted = epoch_results.size();
   report.elapsed_seconds = wall.elapsed_seconds();
-  if constexpr (guard::kEnabled) {
-    if (cfg_.guard.enabled) {
-      guard_.update_service_rate(report.elapsed_seconds * 1e6,
-                                 input->size());
-    }
+  if (cfg_.guard.enabled) {
+    guard_.update_service_rate(report.elapsed_seconds * 1e6, input->size());
   }
 
   input_tuples_ += tuples.size();
@@ -812,20 +896,21 @@ core::RunReport ClusterEngine::process(const std::vector<Tuple>& tuples) {
 }
 
 void ClusterEngine::prefill(const std::vector<Tuple>& tuples) {
+  require_local_workers("prefill");
   next_seq_ = check_arrival_order(tuples, next_seq_);
   // The engine is quiescent (before the first process() or between
   // epochs); inner engines are warmed directly, and the next epoch's
   // inbox traffic publishes the writes to the worker threads.
-  std::vector<std::vector<Tuple>> per_slot(slot_count());
-  for (const Tuple& t : tuples) {
-    if (cfg_.window_mode == WindowMode::kExactGlobal) {
+  if (cfg_.window_mode == WindowMode::kExactGlobal) {
+    for (const Tuple& t : tuples) {
       (void)horizons_.stamp(t);  // prefill emits no pairs to filter
     }
-    router_.route(t, scratch_slots_);
-    for (const std::uint32_t slot : scratch_slots_) {
-      per_slot[slot].push_back(t);
-    }
   }
+  std::vector<std::vector<Tuple>> per_slot(slot_count());
+  router_.route_span(std::span<const Tuple>(tuples),
+                     [&](const Tuple& t, std::uint32_t slot) {
+                       per_slot[slot].push_back(t);
+                     });
   for (std::uint32_t slot = 0; slot < slot_count(); ++slot) {
     if (per_slot[slot].empty() || slot_retired_[slot]) continue;
     for (std::uint32_t rep = 0; rep < cfg_.replicas; ++rep) {
@@ -854,12 +939,13 @@ bool ClusterEngine::slot_retired(std::uint32_t slot) const {
 }
 
 std::uint32_t ClusterEngine::add_slot() {
+  require_local_workers("add_slot");
   HAL_CHECK(cfg_.partitioning == Partitioning::kKeyHash,
             "elastic topology changes require key-hash partitioning");
   const std::uint32_t slot = slot_count();
   slot_staging_.emplace_back();
   slot_stamps_.emplace_back();
-  slot_epoch_tuples_.push_back(0);
+  slot_epoch_counts_.push_back({0, 0});
   active_replica_.push_back(0);
   slot_retired_.push_back(0);
   for (std::uint32_t rep = 0; rep < cfg_.replicas; ++rep) {
@@ -879,6 +965,7 @@ std::uint32_t ClusterEngine::add_slot() {
 }
 
 void ClusterEngine::retire_slot(std::uint32_t slot) {
+  require_local_workers("retire_slot");
   HAL_CHECK(cfg_.partitioning == Partitioning::kKeyHash,
             "elastic topology changes require key-hash partitioning");
   HAL_CHECK(slot < slot_count(), "slot out of range");
@@ -928,6 +1015,7 @@ void ClusterEngine::apply_keyspace(KeyspaceMap map) {
 }
 
 std::vector<std::uint8_t> ClusterEngine::snapshot_slot(std::uint32_t slot) {
+  require_local_workers("snapshot_slot");
   HAL_CHECK(slot < slot_count() && !slot_retired_[slot],
             "snapshot_slot: slot is not live");
   const std::uint32_t base = slot * cfg_.replicas;
@@ -947,6 +1035,7 @@ std::vector<std::uint8_t> ClusterEngine::snapshot_slot(std::uint32_t slot) {
 
 std::vector<std::uint8_t> ClusterEngine::checkpoint_slot(
     std::uint32_t slot, std::uint64_t& epoch_out) {
+  require_local_workers("checkpoint_slot");
   HAL_CHECK(slot < slot_count() && !slot_retired_[slot],
             "checkpoint_slot: slot is not live");
   epoch_out = 0;
@@ -966,6 +1055,7 @@ std::vector<std::uint8_t> ClusterEngine::checkpoint_slot(
 
 std::vector<TupleBatch> ClusterEngine::replay_delta_slot(
     std::uint32_t slot, std::uint64_t after_epoch, bool& complete_out) {
+  require_local_workers("replay_delta_slot");
   HAL_CHECK(slot < slot_count() && !slot_retired_[slot],
             "replay_delta_slot: slot is not live");
   complete_out = false;
@@ -985,6 +1075,7 @@ std::vector<TupleBatch> ClusterEngine::replay_delta_slot(
 
 void ClusterEngine::rebuild_slot(std::uint32_t slot,
                                  const std::vector<Tuple>& window) {
+  require_local_workers("rebuild_slot");
   HAL_CHECK(slot < slot_count() && !slot_retired_[slot],
             "rebuild_slot: slot is not live");
   const std::uint32_t base = slot * cfg_.replicas;
@@ -994,9 +1085,7 @@ void ClusterEngine::rebuild_slot(std::uint32_t slot,
               "rebuild_slot ran outside the epoch barrier");
     w.engine = core::make_engine(w.engine_cfg);
     if (!window.empty()) w.engine->prefill(window);
-    w.staged.clear();
-    w.staged_dropped = 0;
-    w.filter.clear();
+    w.step.reset();
     w.epoch_batches = 0;
     // The rebuilt window is the slot's complete state: a replica that was
     // dead (unsupervised) or unrecoverable is healthy again from here on.
@@ -1107,7 +1196,7 @@ ClusterReport ClusterEngine::report() const {
   if (cfg_.partitioning == Partitioning::kKeyHash) {
     rep.keyspace_version = router_.keyspace().version();
   }
-  rep.guard_enabled = guard::kEnabled && cfg_.guard.enabled;
+  rep.guard_enabled = cfg_.guard.enabled;
   rep.guard = guard_.stats();
   return rep;
 }
@@ -1239,7 +1328,7 @@ void ClusterEngine::collect_metrics(obs::MetricRegistry& registry,
                          obs::Stability::kRuntime);
   }
   for (const auto& w : workers_) {
-    if (w->retired.load(std::memory_order_acquire)) continue;
+    if (w->engine == nullptr) continue;  // retired, or remote
     if (!w->dropped.load(std::memory_order_acquire)) {
       w->engine->collect_metrics(
           registry, prefix + "worker." + std::to_string(w->index) + ".engine.");

@@ -3,18 +3,26 @@
 // A ClusterEngine implements the core::StreamJoinEngine facade but runs
 // the sliding-window join across N worker nodes, each wrapping an
 // unmodified single-node backend (hardware uni-flow on the cycle sim,
-// software SplitJoin, batched, ...) on its own thread. The pieces:
+// software SplitJoin, batched, ...) on its own thread — or, with
+// TransportParams::worker_addresses, in another process that serves it
+// through serve_worker (cluster/remote.h). It is the one coordinator for
+// both: the pieces below serve in-process and remote workers alike.
 //
 //   router   — partitions tuples SplitJoin-style across a worker grid
 //              (store-to-one-shard, process-against-all) or by key hash
 //              for equi-joins (see cluster/router.h for the exactness
 //              argument).
-//   transport— bounded SPSC links carrying tuple/result batches with
-//              modeled per-link bandwidth/latency (cluster/transport.h),
-//              so dist::PathModel predictions are testable against runs.
-//   workers  — one thread per worker; pops ingress batches, drives its
-//              inner engine, pushes result batches. Replication factor
-//              ≥ 2 runs hot replicas per shard slot for failover.
+//   transport— bounded links carrying epoch-tagged tuple/result batches
+//              (cluster/transport.h): SPSC queues with modeled per-link
+//              bandwidth/latency, so dist::PathModel predictions are
+//              testable against runs, or hal::net connections. Each
+//              epoch's last batch on a link carries the link's R/S tuple
+//              counts, which the worker audits (exactly-once delivery).
+//   workers  — one thread per in-process worker; pops ingress batches
+//              and runs each through WorkerStep (inner engine, stale-pair
+//              filter, egress staging), the step serve_worker runs too.
+//              Replication factor ≥ 2 runs hot replicas per shard slot
+//              for failover.
 //   merger   — the cluster-level gathering node: drains every worker's
 //              egress link and reassembles per-epoch result sets. With
 //              WindowMode::kExactGlobal the workers have already dropped
@@ -28,7 +36,11 @@
 // failed worker's partial epoch is discarded — its replica's complete
 // epoch is used instead (failover) or, with no replica, the loss is
 // accounted and reported (clean degradation) while the cluster keeps
-// serving the surviving shards.
+// serving the surviving shards. A remote worker whose connection closes
+// counts as failed the same way. Supervision, worker fault events,
+// placement, prefill and the elastic slot operations need the workers'
+// engines in this process; with remote workers they throw
+// PreconditionError.
 //
 // An epoch is one process() call: feed, drain, merge, report. The engine
 // is quiescent between epochs, which is when report() may be read. Seqs
@@ -37,6 +49,7 @@
 // engine changes any state.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -160,6 +173,7 @@ struct ClusterConfig {
   // Optional per-slot overrides (mixed-backend clusters), indexed by slot.
   std::vector<core::EngineConfig> worker_overrides;
 
+  // Links; transport.worker_addresses makes every worker remote.
   TransportParams transport;
   FaultPlan faults;
   RecoveryConfig recovery;
@@ -191,6 +205,55 @@ struct ClusterConfig {
 [[nodiscard]] bool emits_results_in_probe_epoch(
     const core::EngineConfig& worker);
 
+// One worker's half of the link protocol, shared by the in-process worker
+// threads and serve_worker so the two cannot drift. Each ingress batch
+// runs through the engine and the exact-global stale-pair filter into the
+// egress staging; a result batch ships once batch_size results are
+// staged, and the epoch's answer ships at its end. The end-of-epoch batch
+// also closes the exactly-once audit: the R and S tuples it says the
+// router sent this link in the epoch must be the ones that arrived.
+class WorkerStep {
+ public:
+  struct Outcome {
+    bool sent = true;             // false: a result send was abandoned
+    std::uint64_t results = 0;    // engine emissions, before the filter
+    double engine_seconds = 0.0;  // inside the engine
+  };
+
+  explicit WorkerStep(std::size_t batch_size) : batch_size_(batch_size) {}
+
+  // Runs `batch` through `engine`; `send(ResultBatch)` ships one result
+  // batch and returns false if it gave up. Throws hal::Error on an engine
+  // fault or a failed audit: the cluster contains it as a fail-stop of
+  // the worker, serve_worker fails its run.
+  template <typename SendFn>
+  Outcome run(core::StreamJoinEngine& engine, const TupleBatch& batch,
+              SendFn&& send) {
+    Outcome out = process(engine, batch);
+    if (batch.end_of_epoch || staged_.size() >= batch_size_) {
+      out.sent = send(take_staged(batch));
+    }
+    return out;
+  }
+
+  // Forgets the partial epoch (a restart or a rebuild discards it).
+  void reset();
+
+ private:
+  // Audit, filter and engine for one batch; stages the kept results.
+  Outcome process(core::StreamJoinEngine& engine, const TupleBatch& batch);
+  [[nodiscard]] ResultBatch take_staged(const TupleBatch& batch);
+
+  std::size_t batch_size_;
+  StaleFilter filter_;  // this epoch's arrival horizons (exact-global)
+  std::vector<stream::ResultTuple> staged_;  // results awaiting egress
+  std::uint64_t staged_dropped_ = 0;  // stale pairs since the last send
+  std::uint64_t epoch_r_ = 0;  // R/S tuples received this epoch (audit)
+  std::uint64_t epoch_s_ = 0;
+};
+
+// Remote workers report only their links' counters: engine-side fields
+// (tuples_in, results_out, busy_seconds, ...) stay zero.
 struct WorkerReport {
   std::uint32_t index = 0;
   std::uint32_t slot = 0;
@@ -235,7 +298,8 @@ struct ClusterReport {
   std::size_t egress_queue_high_water = 0;
   double elapsed_seconds = 0.0;  // Σ process() wall time
   // Net-backed links only: every connection end's counters, summed (so
-  // each wire frame shows up once as sent and once as received).
+  // each wire frame shows up once as sent and once as received). With
+  // remote workers only this process's ends count.
   bool net_enabled = false;
   net::NetStats net;
   // Supervised-recovery totals (all zero when recovery.supervise is off).
@@ -370,13 +434,15 @@ class ClusterEngine final : public core::StreamJoinEngine {
 
   struct Worker {
     Worker(std::uint32_t index, std::uint32_t slot, std::uint32_t replica,
-           const LinkParams& ingress, const LinkParams& egress)
+           const LinkParams& ingress, const LinkParams& egress,
+           std::size_t batch_size)
         : index(index), slot(slot), replica(replica), inbox(ingress),
-          outbox(egress) {}
+          outbox(egress), step(batch_size) {}
 
     const std::uint32_t index;
     const std::uint32_t slot;
     const std::uint32_t replica;
+    // Null for a remote worker, which has neither engine nor thread here.
     std::unique_ptr<core::StreamJoinEngine> engine;
     Link<TupleBatch> inbox;
     Link<ResultBatch> outbox;
@@ -390,9 +456,7 @@ class ClusterEngine final : public core::StreamJoinEngine {
     std::atomic<std::uint64_t> results_out{0};
     std::atomic<std::uint64_t> data_batches_in{0};
     std::atomic<double> busy_seconds{0.0};
-    std::vector<stream::ResultTuple> staged;  // results awaiting egress
-    std::uint64_t staged_dropped = 0;  // stale pairs since the last send
-    StaleFilter filter;  // this epoch's arrival horizons (exact-global)
+    WorkerStep step;  // engine, stale-pair filter, egress staging, audit
     std::atomic<bool> dropped{false};
 
     // This worker's merge slot (heap-stable; set before the thread
@@ -498,9 +562,16 @@ class ClusterEngine final : public core::StreamJoinEngine {
   void wait_until(double deadline_us) const;
   [[nodiscard]] double now_us() const { return timer_.elapsed_us(); }
 
-  // Establishes one net connection pair per worker link and attaches it
-  // (constructor, net-backed transports only).
+  // Throws PreconditionError naming `what` when the workers are remote.
+  void require_local_workers(const char* what) const;
+  // Establishes the net connections of every worker's links and attaches
+  // them (constructor, net-backed transports only): a connection pair per
+  // link in this process, or one dialed connection per remote worker.
   void setup_net_links();
+  // Endpoint options of the cluster's end of worker `w`'s ingress (or
+  // egress) link.
+  [[nodiscard]] net::EndpointOptions link_endpoint(const Worker& w,
+                                                   bool ingress) const;
   // Dials and accepts the two connections of one worker's links
   // (net-backed transports; no-op otherwise). add_slot() uses it to wire
   // workers created after construction.
@@ -520,10 +591,12 @@ class ClusterEngine final : public core::StreamJoinEngine {
   std::vector<stream::Tuple> admitted_;  // guard scratch, reused per epoch
 
   // Net-backed link state (unused when link_transport == kInProcess).
-  // Dialer ends are owned here; acceptor ends by the listener. Teardown
-  // order matters: threads join first, then dialers close, then the
-  // listener (and its connections), then the transport.
-  std::unique_ptr<net::Transport> net_transport_;
+  // Dialer ends are owned here; acceptor ends by the listener (remote
+  // workers have none). Teardown order matters: threads join first, then
+  // dialers close, then the listener (and its connections), then the
+  // transport.
+  std::unique_ptr<net::Transport> owned_transport_;
+  net::Transport* net_transport_ = nullptr;  // owned_ or the shared hub
   std::unique_ptr<net::Listener> net_listener_;
   std::vector<std::unique_ptr<net::Connection>> net_dialers_;
   std::vector<net::Connection*> net_acceptors_;
@@ -546,10 +619,11 @@ class ClusterEngine final : public core::StreamJoinEngine {
   std::vector<std::vector<stream::Tuple>> slot_staging_;
   std::vector<std::vector<std::uint64_t>> slot_stamps_;  // beside staging
   std::vector<std::uint64_t> stamps_;  // per admitted tuple, this epoch
-  std::vector<std::uint64_t> slot_epoch_tuples_;
+  // R and S tuples routed to each slot this epoch, by StreamId: the
+  // end-of-epoch audit counts, and the loss when the slot dies.
+  std::vector<std::array<std::uint64_t, 2>> slot_epoch_counts_;
   std::vector<std::uint32_t> active_replica_;
   std::vector<std::uint8_t> slot_retired_;
-  std::vector<std::uint32_t> scratch_slots_;
   std::vector<stream::ResultTuple> collected_;
 
   // Accumulated report counters (main thread).

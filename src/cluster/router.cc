@@ -23,30 +23,6 @@ void Router::set_keyspace(KeyspaceMap map) {
   map_ = std::move(map);
 }
 
-void Router::route(const stream::Tuple& t,
-                   std::vector<std::uint32_t>& slots_out) {
-  slots_out.clear();
-  if (partitioning_ == Partitioning::kKeyHash) {
-    route_hashed(t, [&](const stream::Tuple&, std::uint32_t slot) {
-      slots_out.push_back(slot);
-    });
-    return;
-  }
-  // kSplitGrid: slot index = row * cols + col. R owns a row (replicated
-  // across its columns), S owns a column (replicated down its rows).
-  if (t.origin == stream::StreamId::R) {
-    const auto row = static_cast<std::uint32_t>(count_r_++ % rows_);
-    for (std::uint32_t col = 0; col < cols_; ++col) {
-      slots_out.push_back(row * cols_ + col);
-    }
-  } else {
-    const auto col = static_cast<std::uint32_t>(count_s_++ % cols_);
-    for (std::uint32_t row = 0; row < rows_; ++row) {
-      slots_out.push_back(row * cols_ + col);
-    }
-  }
-}
-
 std::uint64_t check_arrival_order(std::span<const stream::Tuple> tuples,
                                   std::uint64_t next_seq) {
   for (const stream::Tuple& t : tuples) {

@@ -41,8 +41,8 @@
 // and ships it beside the tuple. The worker keeps its epoch's (seq,
 // horizon) pairs and drops every result whose stored tuple's seq is below
 // its probe's horizon (StaleFilter), counting the drops for the merger's
-// report. The coordinators reject an input whose seqs do not strictly
-// increase (check_arrival_order) before they change any state, and check
+// report. The coordinator rejects an input whose seqs do not strictly
+// increase (check_arrival_order) before it changes any state, and checks
 // that every merged result probes the current epoch: a worker that emits
 // a pair in a later epoch has already forgotten its probe's horizon, which
 // rules out multi-core handshake and bi-flow chains (see
@@ -103,17 +103,13 @@ class Router {
  public:
   Router(Partitioning partitioning, std::uint32_t rows, std::uint32_t cols);
 
-  // Shard slots (grid cells or hash partitions) the tuple must visit, in
-  // slot-index order. Must be called exactly once per tuple, in arrival
-  // order (grid assignment advances per-stream round-robin counters).
-  void route(const stream::Tuple& t, std::vector<std::uint32_t>& slots_out);
-
-  // Batch-granularity routing: one call per arrival-order span, invoking
-  // emit(tuple, slot) for every (tuple, destination) pair without a
-  // scratch-vector round trip per tuple. Equivalent to route() called
-  // tuple-by-tuple (the round-robin counters advance identically); it
-  // exists so the cluster ingress amortizes the per-tuple dispatch the
-  // same way the engines do.
+  // Routes an arrival-order span: invokes emit(tuple, slot) for every
+  // shard slot (grid cell or hash partition) each tuple must visit, in
+  // arrival order and, per tuple, in slot-index order. Every tuple must be
+  // routed exactly once, in arrival order, across calls (grid assignment
+  // advances per-stream round-robin counters), so splitting a stream into
+  // spans does not change the routing. One call per span amortizes the
+  // per-tuple dispatch the way the engines' batched paths do.
   template <typename EmitFn>
   void route_span(std::span<const stream::Tuple> tuples, EmitFn&& emit) {
     if (partitioning_ == Partitioning::kKeyHash) {
@@ -308,7 +304,7 @@ class HorizonStamper {
 // arrivals a worker received in the current epoch, and the drop rule they
 // give its engine's results. A result whose probe is not among them (a
 // batch without stamps, or a pair emitted after its probe's epoch) passes
-// unfiltered; the coordinators reject the latter.
+// unfiltered; the coordinator rejects the latter.
 class StaleFilter {
  public:
   // Records an ingress batch. `stamps` is empty or parallel to `tuples`.
@@ -338,11 +334,11 @@ class StaleFilter {
 
 // Arrival-order accounting for a merger-side exact-global window filter:
 // the seq-horizon rule of the header comment, checked per pair. The
-// coordinators do not use it (their workers drop stale pairs against
+// coordinator does not use it (its workers drop stale pairs against
 // HorizonStamper's stamps); it is the reference those stamps are tested
 // against.
 //
-// Epochs follow the coordinators' call order: observe() an epoch's
+// Epochs follow the coordinator's call order: observe() an epoch's
 // arrivals, then pair_in_window() its results. The first observe() after
 // a pair check starts a new epoch, whose results may only probe tuples
 // observed in it; an epoch without pair checks runs on into the next. The

@@ -24,6 +24,8 @@ bool net_try_send(net::Connection& conn, const TupleBatch& b) {
   msg.end_of_epoch = b.end_of_epoch;
   msg.tuples = b.tuples;
   msg.stamps = b.stamps;
+  msg.r_count = b.r_count;
+  msg.s_count = b.s_count;
   return conn.try_send(net::MsgType::kTupleBatch, net::encode(msg));
 }
 
@@ -53,6 +55,8 @@ bool net_try_recv(net::Connection& conn, TupleBatch& out) {
   out.deliver_at_us = 0.0;
   out.tuples = std::move(msg.tuples);
   out.stamps = std::move(msg.stamps);
+  out.r_count = msg.r_count;
+  out.s_count = msg.s_count;
   return true;
 }
 

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -89,6 +90,17 @@ struct TransportParams {
   double net_stall_timeout_ms = 0.0;
   double net_backoff_max_ms = 0.0;
 
+  // Remote workers (net link kinds only): one address per worker, indexed
+  // by the flat worker index slot * replicas + replica, each served by
+  // serve_worker (cluster/remote.h) in another process or thread. The
+  // cluster then dials these addresses instead of building worker engines
+  // and threads; one connection carries both of a worker's links. Empty =
+  // every worker runs in this process.
+  std::vector<std::string> worker_addresses;
+  // Loopback rendezvous needs dial and listen on one Transport object:
+  // the hub the remote workers listen on. Null = a private transport.
+  net::Transport* shared_transport = nullptr;
+
   // Derives link parameters from the distributed-pipeline parameter set
   // used by the dist:: deployment models: the router→worker hop crosses
   // the switch and the destination NIC; the result hop crosses the NIC.
@@ -116,6 +128,11 @@ struct TupleBatch {
   // Exact-global windows: each tuple's horizon (HorizonStamper in
   // cluster/router.h), parallel to `tuples`. Empty otherwise.
   std::vector<std::uint64_t> stamps;
+  // End-of-epoch batches: the R and S tuples the router sent this link in
+  // the epoch, which the worker checks against what arrived (the
+  // exactly-once audit, WorkerStep in cluster_engine.h). Zero otherwise.
+  std::uint64_t r_count = 0;
+  std::uint64_t s_count = 0;
 };
 
 struct ResultBatch {
@@ -163,23 +180,32 @@ class Link {
   explicit Link(const LinkParams& params)
       : params_(params), queue_(params.capacity_batches) {}
 
-  // Routes the link through a hal::net connection pair instead of the
-  // SPSC queue: the producer end encodes every batch onto `tx`, the
-  // consumer end decodes from `rx`. Call before any traffic; both
-  // connections must outlive the link's use. Modeled pacing is disabled
-  // (deliver_at_us stays 0) — a net-backed wire has real latency.
+  // Routes the link through hal::net connections instead of the SPSC
+  // queue: the producer end encodes every batch onto `tx`, the consumer
+  // end decodes from `rx`. A link whose other end runs in another process
+  // (a remote worker) attaches only its own end; the other is null. Call
+  // before any traffic; the connections must outlive the link's use.
+  // Modeled pacing is disabled (deliver_at_us stays 0) — a net-backed
+  // wire has real latency.
   void attach_net(net::Connection* tx, net::Connection* rx) {
     net_tx_ = tx;
     net_rx_ = rx;
   }
-  [[nodiscard]] bool net_backed() const noexcept { return net_tx_ != nullptr; }
+
+  // True once the net peer of the consumer end has closed for good (a
+  // remote worker or coordinator that went away, with everything it sent
+  // already received). SPSC links never close.
+  [[nodiscard]] bool peer_closed() const {
+    return net_rx_ != nullptr && net_rx_->peer_closed();
+  }
 
   // Blocking send with backpressure accounting; stamps the delivery
   // deadline but never sleeps for pacing itself (the receiver pays the
   // modeled wire time, keeping a single producer able to feed N links at
   // their aggregate rate). Returns false iff the send was abandoned — the
-  // budget ran out or the breaker was already open (send_budget_us > 0
-  // only; an unbudgeted link retries forever and always returns true).
+  // budget ran out, the breaker was already open (send_budget_us > 0
+  // only), or the net peer closed its end; otherwise an unbudgeted link
+  // retries forever.
   [[nodiscard]] bool send(T msg, double now_us, std::uint64_t payload_items) {
     if (breaker_open_) {
       stats_.breaker_drops.fetch_add(1, std::memory_order_relaxed);
@@ -210,6 +236,7 @@ class Link {
       BudgetClock budget(params_.send_budget_us);
       while (!net_try_send(*net_tx_, msg)) {
         stats_.stall_spins.fetch_add(1, std::memory_order_relaxed);
+        if (net_tx_->peer_closed()) return false;  // no retry can succeed
         if (budget.exhausted()) return give_up();
         backoff.pause();
       }

@@ -446,11 +446,9 @@ std::unique_ptr<StreamJoinEngine> make_engine(const EngineConfig& config) {
   // control would falsify the measured design, so they stay unguarded.
   const auto maybe_guard = [&config](std::unique_ptr<StreamJoinEngine> e)
       -> std::unique_ptr<StreamJoinEngine> {
-    if constexpr (guard::kEnabled) {
-      if (config.guard.enabled) {
-        return std::make_unique<guard::GuardedEngine>(std::move(e),
-                                                      config.guard);
-      }
+    if (config.guard.enabled) {
+      return std::make_unique<guard::GuardedEngine>(std::move(e),
+                                                    config.guard);
     }
     return e;
   };

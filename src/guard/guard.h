@@ -22,9 +22,8 @@
 //     is what the differential tests assert across every backend and
 //     transport.
 //
-// The guard is compiled out by -DHAL_GUARD=OFF (guard/enabled.h) and
-// costs one branch per epoch when compiled in but disabled at runtime —
-// the same zero-overhead discipline as hal::obs.
+// A disabled guard (GuardConfig::enabled false) costs one branch per
+// epoch.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +31,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "guard/enabled.h"
 #include "stream/tuple.h"
 
 namespace hal::guard {

@@ -21,7 +21,6 @@ core::RunReport GuardedEngine::process(
 void GuardedEngine::collect_metrics(obs::MetricRegistry& registry,
                                     const std::string& prefix) const {
   inner_->collect_metrics(registry, prefix);
-  if constexpr (!kEnabled) return;
   const GuardStats& s = guard_.stats();
   // Admission totals are deterministic only under force_overload or a
   // fixed latch history; tag them runtime so determinism snapshots skip

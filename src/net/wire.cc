@@ -114,6 +114,10 @@ constexpr std::uint32_t kFlagDied = 1u << 1;
 // a non-empty batch, so every decodable payload has one encoding.
 constexpr std::uint32_t kFlagStamps = 1u << 2;
 constexpr std::size_t kStampWireSize = 8;
+// Tuple batches: the R/S audit counts follow the batch header. Set exactly
+// on end-of-epoch batches, so again every payload has one encoding.
+constexpr std::uint32_t kFlagCounts = 1u << 3;
+constexpr std::size_t kCountsWireSize = 16;
 
 // --- CRC32C table ----------------------------------------------------------
 
@@ -309,16 +313,22 @@ bool decode(std::span<const std::uint8_t> payload, WatermarkMsg& m) {
 std::vector<std::uint8_t> encode(const TupleBatchMsg& m) {
   HAL_CHECK(m.stamps.empty() || m.stamps.size() == m.tuples.size(),
             "a tuple batch carries one stamp per tuple or none");
+  HAL_CHECK(m.end_of_epoch || (m.r_count == 0 && m.s_count == 0),
+            "only an end-of-epoch tuple batch carries audit counts");
   std::vector<std::uint8_t> out;
-  out.reserve(24 + m.tuples.size() * kTupleWireSize +
+  out.reserve(24 + kCountsWireSize + m.tuples.size() * kTupleWireSize +
               m.stamps.size() * kStampWireSize);
   put_u64(out, m.epoch);
   put_u64(out, m.link_seq);
   std::uint32_t flags = 0;
-  if (m.end_of_epoch) flags |= kFlagEndOfEpoch;
+  if (m.end_of_epoch) flags |= kFlagEndOfEpoch | kFlagCounts;
   if (!m.stamps.empty()) flags |= kFlagStamps;
   put_u32(out, flags);
   put_u32(out, static_cast<std::uint32_t>(m.tuples.size()));
+  if (m.end_of_epoch) {
+    put_u64(out, m.r_count);
+    put_u64(out, m.s_count);
+  }
   for (const stream::Tuple& t : m.tuples) put_tuple(out, t);
   for (const std::uint64_t stamp : m.stamps) put_u64(out, stamp);
   return out;
@@ -332,8 +342,16 @@ bool decode(std::span<const std::uint8_t> payload, TupleBatchMsg& m) {
       !r.read_u32(count)) {
     return false;
   }
-  if ((flags & ~(kFlagEndOfEpoch | kFlagStamps)) != 0) return false;
+  if ((flags & ~(kFlagEndOfEpoch | kFlagStamps | kFlagCounts)) != 0) {
+    return false;
+  }
   m.end_of_epoch = (flags & kFlagEndOfEpoch) != 0;
+  if (m.end_of_epoch != ((flags & kFlagCounts) != 0)) return false;
+  m.r_count = 0;
+  m.s_count = 0;
+  if (m.end_of_epoch && (!r.read_u64(m.r_count) || !r.read_u64(m.s_count))) {
+    return false;
+  }
   const bool stamped = (flags & kFlagStamps) != 0;
   if (stamped && count == 0) return false;
   // Count must match the remaining bytes exactly; checking before the

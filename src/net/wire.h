@@ -36,7 +36,7 @@
 
 namespace hal::net {
 
-inline constexpr std::uint8_t kProtocolVersion = 2;
+inline constexpr std::uint8_t kProtocolVersion = 3;
 inline constexpr std::size_t kHeaderSize = 24;
 // Caps a frame's payload so a corrupted length field can never trigger an
 // unbounded allocation (16 MiB >> any batch the cluster ships).
@@ -48,7 +48,7 @@ enum class MsgType : std::uint8_t {
   kCredit = 2,       // flow-control window advance
   kAck = 3,          // cumulative receipt acknowledgement
   kShutdown = 4,     // orderly connection teardown
-  kWatermark = 5,    // epoch barrier with per-stream arrival counts
+  kWatermark = 5,    // three u64s; the cluster sends none (since v3)
   kTupleBatch = 6,   // input tuples routed to a shard
   kResultBatch = 7,  // joined results returned from a shard
   kCheckpoint = 8,   // serialized WindowImage (hal::recovery)
@@ -158,8 +158,9 @@ struct ShutdownMsg {
   friend bool operator==(const ShutdownMsg&, const ShutdownMsg&) = default;
 };
 
-// Epoch barrier. Carries how many R/S tuples the sender routed to this
-// connection within the epoch, so the receiver can audit delivery.
+// Epoch barrier with per-stream arrival counts. The cluster no longer
+// sends it (protocol version 3 moved the counts onto the end-of-epoch
+// tuple batch); it stays a data frame type of the transport.
 struct WatermarkMsg {
   std::uint64_t epoch = 0;
   std::uint64_t r_count = 0;
@@ -179,6 +180,12 @@ struct TupleBatchMsg {
   // Exact-global window horizons, one per tuple (cluster/router.h), or
   // none. Sent as a trailing u64 section, flagged in the batch header.
   std::vector<std::uint64_t> stamps;
+  // End-of-epoch batches only: the R and S tuples the sender routed to
+  // this link in the epoch, this batch's included, so the receiver can
+  // audit exactly-once delivery. Sent as a u64 pair after the batch
+  // header, flagged there; zero on every other batch.
+  std::uint64_t r_count = 0;
+  std::uint64_t s_count = 0;
 
   friend bool operator==(const TupleBatchMsg&, const TupleBatchMsg&) =
       default;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "cluster/cluster_engine.h"
 #include "common/rng.h"
@@ -151,12 +152,10 @@ TEST(ClusterEngine, PartitionedLocalMatchesPerShardOracle) {
     oracles.emplace_back(cfg.window_size / cfg.shards, cfg.spec);
   }
   std::vector<ResultTuple> expected;
-  std::vector<std::uint32_t> slots;
-  for (const Tuple& t : tuples) {
-    router.route(t, slots);
-    ASSERT_EQ(slots.size(), 1u);
-    oracles[slots[0]].process(t, expected);
-  }
+  router.route_span(std::span<const Tuple>(tuples),
+                    [&](const Tuple& t, std::uint32_t slot) {
+                      oracles[slot].process(t, expected);
+                    });
   EXPECT_EQ(normalize(engine.take_results()), normalize(expected));
 }
 

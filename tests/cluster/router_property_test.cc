@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "cluster/cluster_engine.h"
@@ -39,6 +40,23 @@ std::vector<Tuple> workload(std::size_t n, std::uint64_t seed,
   return stream::WorkloadGenerator(wl).take(n);
 }
 
+// Each tuple's destination slots, in emission order, as routed by
+// route_span over the whole workload in spans of `span` tuples — the
+// function the cluster ingress runs, SIMD keyslot fast path included.
+std::vector<std::vector<std::uint32_t>> route_all(
+    Router& router, const std::vector<Tuple>& tuples, std::size_t span = 37) {
+  std::vector<std::vector<std::uint32_t>> slots(tuples.size());
+  for (std::size_t at = 0; at < tuples.size(); at += span) {
+    const std::size_t n = std::min(span, tuples.size() - at);
+    router.route_span(std::span<const Tuple>(tuples.data() + at, n),
+                      [&](const Tuple& t, std::uint32_t slot) {
+                        slots[static_cast<std::size_t>(&t - tuples.data())]
+                            .push_back(slot);
+                      });
+  }
+  return slots;
+}
+
 TEST(RouterProperty, SplitGridPairsMeetAtExactlyOneWorker) {
   constexpr std::uint32_t kRows = 3;
   constexpr std::uint32_t kCols = 4;
@@ -46,11 +64,12 @@ TEST(RouterProperty, SplitGridPairsMeetAtExactlyOneWorker) {
   ASSERT_EQ(router.num_slots(), kRows * kCols);
 
   const auto tuples = workload(600, 71, 16);
+  const auto routed = route_all(router, tuples);
   std::vector<std::set<std::uint32_t>> r_sets;  // slots per R tuple
   std::vector<std::set<std::uint32_t>> s_sets;  // slots per S tuple
-  std::vector<std::uint32_t> slots;
-  for (const Tuple& t : tuples) {
-    router.route(t, slots);
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    const Tuple& t = tuples[i];
+    const std::vector<std::uint32_t>& slots = routed[i];
     std::set<std::uint32_t> unique(slots.begin(), slots.end());
     ASSERT_EQ(unique.size(), slots.size());  // no duplicate slots
     for (const std::uint32_t s : unique) ASSERT_LT(s, router.num_slots());
@@ -89,10 +108,10 @@ TEST(RouterProperty, SplitGridRoundRobinBalancesRowsAndColumns) {
   std::map<std::set<std::uint32_t>, std::size_t> row_use, col_use;
   std::size_t n_r = 0;
   std::size_t n_s = 0;
-  std::vector<std::uint32_t> slots;
-  for (const Tuple& t : tuples) {
-    router.route(t, slots);
-    std::set<std::uint32_t> unique(slots.begin(), slots.end());
+  const auto routed = route_all(router, tuples);
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    const Tuple& t = tuples[i];
+    std::set<std::uint32_t> unique(routed[i].begin(), routed[i].end());
     if (t.origin == StreamId::R) {
       ++row_use[unique];
       ++n_r;
@@ -128,9 +147,10 @@ TEST(RouterProperty, KeyHashStoresOnExactlyOneShardAndColocatesKeys) {
   const auto tuples = workload(800, 79, 64);
   std::map<std::uint64_t, std::uint32_t> key_owner;
   std::set<std::uint32_t> used;
-  std::vector<std::uint32_t> slots;
-  for (const Tuple& t : tuples) {
-    router.route(t, slots);
+  const auto routed = route_all(router, tuples);
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    const Tuple& t = tuples[i];
+    const std::vector<std::uint32_t>& slots = routed[i];
     ASSERT_EQ(slots.size(), 1u);  // stored on exactly one shard
     ASSERT_LT(slots[0], kShards);
     used.insert(slots[0]);

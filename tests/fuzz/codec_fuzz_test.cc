@@ -70,6 +70,10 @@ std::vector<std::uint8_t> random_frame(Rng& rng, Frame& expected) {
       if ((rng.next_u64() & 1) != 0) {  // exact-global horizon stamps
         for (std::size_t i = 0; i < n; ++i) m.stamps.push_back(rng.next_u64());
       }
+      if (m.end_of_epoch) {  // the epoch's exactly-once audit counts
+        m.r_count = rng.next_u64();
+        m.s_count = rng.next_u64();
+      }
       payload = encode(m);
       break;
     }

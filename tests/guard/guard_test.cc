@@ -339,7 +339,6 @@ TEST(GuardedEngine, DisabledGuardNeverWrapsTheEngine) {
 }
 
 TEST(GuardedEngine, OutputIsOracleMinusShedOnDeterministicBackends) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_GUARD=0";
   // kSwHandshake is excluded: its result multiset races by design (the
   // chain's window semantics depend on thread interleaving), so only the
   // accounting identity — not the result set — is assertable there.
@@ -369,7 +368,6 @@ TEST(GuardedEngine, OutputIsOracleMinusShedOnDeterministicBackends) {
 }
 
 TEST(GuardedEngine, HandshakeShedAccountingBalances) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_GUARD=0";
   EngineConfig cfg = sw_config(Backend::kSwHandshake);
   cfg.guard.enabled = true;
   cfg.guard.policy = ShedPolicy::kKeySample;
@@ -388,7 +386,6 @@ TEST(GuardedEngine, HandshakeShedAccountingBalances) {
 }
 
 TEST(GuardedEngine, LatchedShedsRecoverWhenTheBacklogDrains) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_GUARD=0";
   // Drive the latch from the real delay estimate: a huge first batch
   // inflates the estimated queue delay past the watermark, a small later
   // batch falls below the low watermark and re-opens admission.
@@ -423,7 +420,6 @@ TEST(GuardedEngine, LatchedShedsRecoverWhenTheBacklogDrains) {
 }
 
 TEST(GuardedEngine, MetricsSurfaceUnderTheGuardPrefix) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_GUARD=0";
   if (!obs::kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   EngineConfig cfg = sw_config(Backend::kSwBatch);
   cfg.guard.enabled = true;

@@ -114,7 +114,6 @@ std::string sw_case_name(const ::testing::TestParamInfo<SwCase>& info) {
 class SwShedPropertyTest : public ::testing::TestWithParam<SwCase> {};
 
 TEST_P(SwShedPropertyTest, GuardedOutputEqualsOracleMinusShed) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_GUARD=0";
   const SwCase& c = GetParam();
   EngineConfig cfg;
   cfg.backend = c.backend;
@@ -166,7 +165,6 @@ class ClusterShedPropertyTest
     : public ::testing::TestWithParam<ClusterCase> {};
 
 TEST_P(ClusterShedPropertyTest, GuardedIngressStaysExact) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_GUARD=0";
   const ClusterCase& c = GetParam();
   ClusterConfig cfg;
   cfg.partitioning = Partitioning::kKeyHash;
@@ -211,7 +209,6 @@ INSTANTIATE_TEST_SUITE_P(Transports, ClusterShedPropertyTest,
 // kill mid-stream: failover must hand the epoch to the surviving replica
 // and the differential identity must still hold tuple-exactly.
 TEST(ClusterShedProperty, SheddingUnderWorkerKillStaysExact) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_GUARD=0";
   ClusterConfig cfg;
   cfg.partitioning = Partitioning::kKeyHash;
   cfg.shards = 2;

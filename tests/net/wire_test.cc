@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "common/assert.h"
@@ -195,6 +196,82 @@ TEST(WireMessages, StampFlagWithoutStampSectionIsRejected) {
   std::vector<std::uint8_t> empty = encode(TupleBatchMsg{});
   empty[16] = flag_byte;
   EXPECT_FALSE(decode(empty, out));
+}
+
+TEST(WireMessages, EndOfEpochBatchCarriesTheAuditCounts) {
+  const TupleBatchMsg batch{.epoch = 9,
+                            .link_seq = 4,
+                            .end_of_epoch = true,
+                            .tuples = {make_tuple(1, 10, 100, StreamId::R),
+                                       make_tuple(2, 20, 101, StreamId::S)},
+                            .stamps = {0, 5},
+                            .r_count = 1234567890123ull,
+                            .s_count = 7};
+  TupleBatchMsg mid = batch;
+  mid.end_of_epoch = false;
+  mid.r_count = 0;
+  mid.s_count = 0;
+  const std::vector<std::uint8_t> payload = encode(batch);
+  EXPECT_EQ(payload.size(), encode(mid).size() + 2 * 8);
+  TupleBatchMsg out;
+  ASSERT_TRUE(decode(payload, out));
+  EXPECT_EQ(out, batch);
+  // Decoding a mid-epoch batch afterwards leaves no counts behind.
+  ASSERT_TRUE(decode(encode(mid), out));
+  EXPECT_EQ(out, mid);
+  // Only the epoch's last batch carries counts.
+  TupleBatchMsg counted_mid = mid;
+  counted_mid.s_count = 1;
+  EXPECT_THROW((void)encode(counted_mid), PreconditionError);
+}
+
+TEST(WireMessages, TruncationInsideTheCountSectionIsRejected) {
+  // The counts follow the 24-byte batch header; cut inside them, with and
+  // without tuples behind.
+  constexpr std::size_t kCountsAt = 24;
+  const TupleBatchMsg empty{.epoch = 1,
+                            .end_of_epoch = true,
+                            .tuples = {},
+                            .stamps = {},
+                            .r_count = 3};
+  const TupleBatchMsg full{.epoch = 1,
+                           .end_of_epoch = true,
+                           .tuples = {make_tuple(1, 2, 3, StreamId::R)},
+                           .stamps = {},
+                           .r_count = 1};
+  for (const TupleBatchMsg& batch : {empty, full}) {
+    const std::vector<std::uint8_t> payload = encode(batch);
+    ASSERT_GE(payload.size(), kCountsAt + 2 * 8);
+    TupleBatchMsg out;
+    for (std::size_t len = kCountsAt; len < kCountsAt + 2 * 8; ++len) {
+      EXPECT_FALSE(
+          decode(std::span<const std::uint8_t>(payload.data(), len), out))
+          << "truncated to " << len;
+    }
+  }
+}
+
+TEST(WireMessages, CountFlagWithoutCountSectionIsRejected) {
+  const TupleBatchMsg last{.epoch = 1,
+                           .end_of_epoch = true,
+                           .tuples = {make_tuple(1, 2, 3, StreamId::R)},
+                           .stamps = {},
+                           .r_count = 1};
+  TupleBatchMsg mid = last;
+  mid.end_of_epoch = false;
+  mid.r_count = 0;
+  const std::vector<std::uint8_t> last_payload = encode(last);
+  const std::vector<std::uint8_t> mid_payload = encode(mid);
+  ASSERT_NE(last_payload[16], mid_payload[16]);  // flags follow 2 u64s
+  TupleBatchMsg out;
+  // The end-of-epoch flags on a payload without the count section.
+  std::vector<std::uint8_t> unsectioned = mid_payload;
+  unsectioned[16] = last_payload[16];
+  EXPECT_FALSE(decode(unsectioned, out));
+  // The count section without its flags: one encoding per batch.
+  std::vector<std::uint8_t> unflagged = last_payload;
+  unflagged[16] = mid_payload[16];
+  EXPECT_FALSE(decode(unflagged, out));
 }
 
 TEST(WireMessages, ResultBatchCarriesTheDropCount) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -238,13 +239,10 @@ TEST(GeneralizedFaultPlan, UnsupervisedKillLosesExactlyTheRoutedTuples) {
   // discarded wholesale).
   cluster::Router router(Partitioning::kKeyHash, 1, cfg.shards);
   std::uint64_t expected_lost = 0;
-  std::vector<std::uint32_t> slots;
-  for (std::size_t i = per_epoch; i < tuples.size(); ++i) {
-    router.route(tuples[i], slots);
-    for (const std::uint32_t s : slots) {
-      if (s == 1) ++expected_lost;
-    }
-  }
+  router.route_span(std::span<const Tuple>(tuples).subspan(per_epoch),
+                    [&](const Tuple&, std::uint32_t slot) {
+                      if (slot == 1) ++expected_lost;
+                    });
   run_epochs(engine, tuples, epochs);
   const ClusterReport rep = engine.report();
   EXPECT_TRUE(rep.degraded);
