@@ -44,8 +44,7 @@ inline std::uint64_t g_seed = 0;
 inline std::uint32_t g_sim_threads = 1;
 
 // Process-wide registry benches record into (directly or by pointing
-// core::MeasureOptions::registry at it). With HAL_OBS=0 this is the no-op
-// shell and the export below is skipped.
+// core::MeasureOptions::registry at it).
 inline obs::MetricRegistry& registry() {
   static obs::MetricRegistry r;
   return r;

@@ -81,8 +81,7 @@ struct MeasureOptions {
 
   // When set, the measurement publishes the engine's internal metrics
   // (under "<obs_prefix>engine.") and its own outputs (under
-  // "<obs_prefix>run.") into this registry. With HAL_OBS=0 the registry
-  // is a no-op shell and nothing is recorded.
+  // "<obs_prefix>run.") into this registry.
   obs::MetricRegistry* registry = nullptr;
   std::string obs_prefix;
 };

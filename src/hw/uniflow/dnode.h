@@ -22,7 +22,6 @@
 
 #include "common/assert.h"
 #include "hw/common/word.h"
-#include "obs/enabled.h"
 #include "sim/fifo.h"
 #include "sim/module.h"
 
@@ -39,21 +38,17 @@ class DNode final : public sim::Module {
   }
 
   void eval() override {
-    if constexpr (obs::kEnabled) {
-      stall_cycles_ += slept_stalls();
-      stalled_ = false;
-    }
+    stall_cycles_ += slept_stalls();
+    stalled_ = false;
     if (!in_.can_pop()) {
       sleep();
       return;
     }
     for (const auto* out : outs_) {
       if (!out->can_push()) {  // broadcast backpressure
-        if constexpr (obs::kEnabled) {
-          ++stall_cycles_;
-          stalled_ = true;
-          stalled_at_ = now();
-        }
+        ++stall_cycles_;
+        stalled_ = true;
+        stalled_at_ = now();
         sleep();
         return;
       }
@@ -65,8 +60,7 @@ class DNode final : public sim::Module {
 
   [[nodiscard]] std::size_t fan_out() const noexcept { return outs_.size(); }
   [[nodiscard]] std::uint64_t forwarded() const noexcept { return forwarded_; }
-  // Cycles a word was ready but a downstream buffer was full. Always 0
-  // with HAL_OBS=0.
+  // Cycles a word was ready but a downstream buffer was full.
   [[nodiscard]] std::uint64_t stall_cycles() const noexcept {
     return stall_cycles_ + slept_stalls();
   }

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/assert.h"
-#include "obs/enabled.h"
 #include "sim/fifo.h"
 #include "sim/module.h"
 #include "stream/tuple.h"
@@ -42,7 +41,7 @@ class GNode final : public sim::Module {
       if (out_.can_push()) {
         out_.push(granted->pop());
         ++forwarded_;
-      } else if constexpr (obs::kEnabled) {
+      } else {
         ++stall_cycles_;  // granted source ready, downstream full
       }
     } else if (std::none_of(ins_.begin(), ins_.end(),
@@ -54,7 +53,7 @@ class GNode final : public sim::Module {
   [[nodiscard]] std::size_t fan_in() const noexcept { return ins_.size(); }
   [[nodiscard]] std::uint64_t forwarded() const noexcept { return forwarded_; }
   // Cycles the granted input held a result but the downstream link was
-  // full. Always 0 with HAL_OBS=0.
+  // full.
   [[nodiscard]] std::uint64_t stall_cycles() const noexcept {
     return stall_cycles_;
   }

@@ -61,8 +61,6 @@ const MetricSnapshot* ObsSnapshot::find(std::string_view name) const {
   return &*it;
 }
 
-#if HAL_OBS
-
 Histogram::Histogram(std::vector<double> upper_bounds)
     : upper_bounds_(std::move(upper_bounds)),
       buckets_(upper_bounds_.size() + 1) {
@@ -199,7 +197,5 @@ void MetricRegistry::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
 }
-
-#endif  // HAL_OBS
 
 }  // namespace hal::obs

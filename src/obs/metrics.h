@@ -17,9 +17,6 @@
 // match counts), while kRuntime values may vary (wall times, thread-race
 // dependent queue depths). Exporters can filter on it, which is what the
 // determinism snapshot tests compare.
-//
-// With HAL_OBS=0 every type below degenerates to an empty shell whose
-// methods are inline no-ops, and the registry drops all registrations.
 #pragma once
 
 #include <atomic>
@@ -34,7 +31,6 @@
 #include <vector>
 
 #include "common/assert.h"
-#include "obs/enabled.h"
 
 namespace hal::obs {
 
@@ -95,8 +91,6 @@ struct ObsSnapshot {
 
   [[nodiscard]] const MetricSnapshot* find(std::string_view name) const;
 };
-
-#if HAL_OBS
 
 class Counter {
  public:
@@ -215,73 +209,5 @@ class MetricRegistry {
   mutable std::mutex mu_;
   std::map<std::string, Entry, std::less<>> entries_;
 };
-
-#else  // HAL_OBS == 0: every hook is an inline no-op on shared dummies.
-
-class Counter {
- public:
-  void inc() noexcept {}
-  void add(std::uint64_t) noexcept {}
-  void set(std::uint64_t) noexcept {}
-  [[nodiscard]] std::uint64_t value() const noexcept { return 0; }
-};
-
-class Gauge {
- public:
-  void set(double) noexcept {}
-  void set_max(double) noexcept {}
-  [[nodiscard]] double value() const noexcept { return 0.0; }
-};
-
-class Histogram {
- public:
-  explicit Histogram(std::vector<double>) {}
-  void record(double) noexcept {}
-  void merge(const Histogram&) noexcept {}
-  void merge(const HistogramSnapshot&) noexcept {}
-  [[nodiscard]] HistogramSnapshot snapshot() const { return {}; }
-  [[nodiscard]] std::uint64_t count() const noexcept { return 0; }
-  [[nodiscard]] const std::vector<double>& upper_bounds() const noexcept {
-    static const std::vector<double> kEmpty;
-    return kEmpty;
-  }
-};
-
-class MetricRegistry {
- public:
-  MetricRegistry() = default;
-  MetricRegistry(const MetricRegistry&) = delete;
-  MetricRegistry& operator=(const MetricRegistry&) = delete;
-
-  Counter& counter(std::string_view,
-                   Stability = Stability::kDeterministic) {
-    return counter_;
-  }
-  Gauge& gauge(std::string_view, Stability = Stability::kRuntime) {
-    return gauge_;
-  }
-  Histogram& histogram(std::string_view, std::vector<double>,
-                       Stability = Stability::kRuntime) {
-    return histogram_;
-  }
-  void set_counter(std::string_view, std::uint64_t,
-                   Stability = Stability::kDeterministic) {}
-  void set_gauge(std::string_view, double,
-                 Stability = Stability::kRuntime) {}
-  [[nodiscard]] ObsSnapshot snapshot(std::string label = {}) const {
-    ObsSnapshot s;
-    s.label = std::move(label);
-    return s;
-  }
-  [[nodiscard]] std::size_t size() const { return 0; }
-  void clear() {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_{{}};
-};
-
-#endif  // HAL_OBS
 
 }  // namespace hal::obs

@@ -8,8 +8,6 @@
 
 namespace hal::obs {
 
-#if HAL_OBS
-
 namespace {
 
 constexpr std::size_t kRingCapacity = 4096;
@@ -96,8 +94,6 @@ std::vector<TraceEvent> drain_trace_events() {
                    });
   return out;
 }
-
-#endif  // HAL_OBS
 
 std::string trace_to_json(const std::vector<TraceEvent>& events) {
   std::string out = "[";

@@ -12,16 +12,11 @@
 // Spans record wall-clock timestamps (steady clock, µs since process
 // trace-epoch), so all trace data is Stability::kRuntime by nature and is
 // never part of the deterministic snapshot comparison.
-//
-// With HAL_OBS=0, Span is an empty object, record/drain are no-ops, and
-// no thread-local state exists.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "obs/enabled.h"
 
 namespace hal::obs {
 
@@ -32,8 +27,6 @@ struct TraceEvent {
   double duration_us = 0.0;
   std::uint32_t thread_id = 0;  // registration-order id, not an OS tid
 };
-
-#if HAL_OBS
 
 // Records one completed event into the calling thread's ring.
 void record_trace_event(const char* name, double start_us,
@@ -59,26 +52,9 @@ class Span {
   double start_us_;
 };
 
-#else
-
-inline void record_trace_event(const char*, double, double) {}
-[[nodiscard]] inline double trace_now_us() { return 0.0; }
-[[nodiscard]] inline std::vector<TraceEvent> drain_trace_events() {
-  return {};
-}
-
-class Span {
- public:
-  explicit Span(const char*) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-};
-
-#endif  // HAL_OBS
-
 // Chrome trace-viewer compatible JSON array ("displayTimeUnit": µs
-// semantics: ts/dur fields are in microseconds). Defined for both build
-// modes (an empty event list serializes to an empty array).
+// semantics: ts/dur fields are in microseconds). An empty event list
+// serializes to an empty array.
 [[nodiscard]] std::string trace_to_json(const std::vector<TraceEvent>& events);
 
 }  // namespace hal::obs

@@ -60,7 +60,7 @@ class RecordWindow {
   [[nodiscard]] sw::ProbePath path() const noexcept { return path_; }
 
   // Prefetch hint for a probe of `key` a few arrivals ahead (bucket
-  // lanes; no-op in the HAL_SIMD=OFF build).
+  // lanes; no-op on the kScan path).
   void prefetch_equal(std::uint32_t key) const noexcept {
     if (path_ == sw::ProbePath::kIndexed) index_.prefetch(key);
   }

@@ -27,7 +27,6 @@
 #include <optional>
 
 #include "common/assert.h"
-#include "obs/enabled.h"
 #include "sim/module.h"
 
 namespace hal::sim {
@@ -77,7 +76,7 @@ class Fifo final : public Channel {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
   // Maximum committed occupancy observed since construction. Deterministic
-  // (a function of the cycle-accurate schedule); always 0 with HAL_OBS=0.
+  // (a function of the cycle-accurate schedule).
   [[nodiscard]] std::size_t high_water() const noexcept {
     return high_water_;
   }
@@ -94,9 +93,7 @@ class Fifo final : public Channel {
       data_.push_back(std::move(*staged_push_));
       staged_push_.reset();
       HAL_ASSERT(data_.size() <= capacity_);
-      if constexpr (obs::kEnabled) {
-        if (data_.size() > high_water_) high_water_ = data_.size();
-      }
+      if (data_.size() > high_water_) high_water_ = data_.size();
     }
     changed();
   }

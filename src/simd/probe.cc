@@ -4,18 +4,14 @@
 #include <cstdlib>
 #include <cstring>
 
-#if !defined(HAL_SIMD_ENABLED)
-#define HAL_SIMD_ENABLED 1
-#endif
-
-#if HAL_SIMD_ENABLED && (defined(__x86_64__) || defined(__i386__))
+#if defined(__x86_64__) || defined(__i386__)
 #define HAL_SIMD_HAVE_AVX2 1
 #include <immintrin.h>
 #else
 #define HAL_SIMD_HAVE_AVX2 0
 #endif
 
-#if HAL_SIMD_ENABLED && defined(__ARM_NEON)
+#if defined(__ARM_NEON)
 #define HAL_SIMD_HAVE_NEON 1
 #include <arm_neon.h>
 #else
@@ -468,8 +464,6 @@ void reset_isa() noexcept {
   g_active.store(static_cast<std::uint8_t>(env_or_detected_isa()),
                  std::memory_order_release);
 }
-
-bool compiled_with_simd() noexcept { return HAL_SIMD_ENABLED != 0; }
 
 std::size_t probe_count(const std::uint32_t* keys, std::size_t n,
                         std::uint32_t key) noexcept {

@@ -27,9 +27,10 @@
 //     HAL_SIMD_ISA environment variable ("scalar" | "avx2" | "neon"),
 //     read once at first use. Forcing an ISA the platform cannot run
 //     clamps to the best available — force_isa(kScalar) always sticks,
-//     which is the fallback guarantee the dispatch test exercises.
-//   * Building with -DHAL_SIMD=OFF compiles the scalar kernels only;
-//     detection then reports kScalar regardless of the CPU.
+//     which is the fallback guarantee the dispatch test exercises. The
+//     scalar kernels are always compiled: they are the reference the
+//     differential suites compare against and the fallback on CPUs
+//     without AVX2/NEON.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +42,7 @@ enum class Isa : std::uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 
 [[nodiscard]] const char* to_string(Isa isa) noexcept;
 
-// Best ISA this CPU + build supports (HAL_SIMD=OFF ⇒ always kScalar).
+// Best ISA this CPU supports.
 [[nodiscard]] Isa detected_isa() noexcept;
 // The ISA the kernels dispatch to right now.
 [[nodiscard]] Isa active_isa() noexcept;
@@ -50,8 +51,6 @@ enum class Isa : std::uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 Isa force_isa(Isa isa) noexcept;
 // Drop any override and re-resolve from HAL_SIMD_ISA / detection.
 void reset_isa() noexcept;
-// False iff the build was configured with -DHAL_SIMD=OFF.
-[[nodiscard]] bool compiled_with_simd() noexcept;
 
 // --- Probe kernels ---------------------------------------------------------
 

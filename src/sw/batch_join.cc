@@ -79,8 +79,7 @@ void BatchJoinEngine::worker_loop(std::uint32_t index) {
     // are handled centrally by the dispatcher.
     slice.out.clear();
     for (std::size_t i = 0; i < batch_count_; ++i) {
-      // Hide the bucket-lane miss of the probe a few tuples ahead (no-op
-      // in the HAL_SIMD=OFF build; harmless on the kScan path).
+      // Hide the bucket-lane miss of the probe a few tuples ahead.
       constexpr std::size_t kPrefetchDistance = 8;
       if (pure_key_equi_ && cfg_.probe == ProbePath::kIndexed &&
           i + kPrefetchDistance < batch_count_) {
@@ -207,7 +206,7 @@ void BatchJoinEngine::run_batch(const Tuple* data, std::size_t count) {
   last_kernel_seconds_ = timer.elapsed_seconds();
   total_kernel_seconds_ += last_kernel_seconds_;
   ++batches_run_;
-  if constexpr (obs::kEnabled) batch_fills_.push_back(count);
+  batch_fills_.push_back(count);
 }
 
 void BatchJoinEngine::snapshot_state(core::WindowImage& out) {

@@ -25,7 +25,6 @@
 
 #include "common/spsc_queue.h"
 #include "core/window_image.h"
-#include "obs/enabled.h"
 #include "obs/metrics.h"
 #include "stream/join_spec.h"
 #include "stream/tuple.h"

@@ -80,10 +80,8 @@ void HandshakeJoinEngine::enter(std::uint32_t i, const Tuple& t,
     }
   }
   if (hits > 0) results_count_.fetch_add(hits, std::memory_order_relaxed);
-  if constexpr (obs::kEnabled) {
-    core.probes += opposite.size() + (extra != nullptr ? extra->size() : 0);
-    ++core.entries;
-  }
+  core.probes += opposite.size() + (extra != nullptr ? extra->size() : 0);
+  ++core.entries;
 
   // Store + evict. R evicts rightward onto boundary[i], S leftward onto
   // boundary[i-1]; past the chain ends the tuple expires.
@@ -94,14 +92,14 @@ void HandshakeJoinEngine::enter(std::uint32_t i, const Tuple& t,
       // The handover stays in flight: count it before this entry retires
       // so the pending count can never dip to zero mid-chain.
       pending_.fetch_add(1, std::memory_order_relaxed);
-      if constexpr (obs::kEnabled) ++core.handovers;
+      ++core.handovers;
       Boundary& b = *boundaries_[i];
       std::lock_guard<std::mutex> lk(b.mu);
       b.r_q.push_back(evicted);
       b.r_len.store(b.r_q.size(), std::memory_order_relaxed);
     } else if (!is_r && i > 0) {
       pending_.fetch_add(1, std::memory_order_relaxed);
-      if constexpr (obs::kEnabled) ++core.handovers;
+      ++core.handovers;
       Boundary& b = *boundaries_[i - 1];
       std::lock_guard<std::mutex> lk(b.mu);
       b.s_q.push_back(evicted);

@@ -95,7 +95,6 @@ class IndexedSoaWindow {
 
   // Prefetch hint for a probe of `key` a few iterations ahead (kIndexed
   // bucket lanes; the kScan dense lane streams linearly and needs none).
-  // No-op in the HAL_SIMD=OFF build.
   void prefetch_equal(std::uint32_t key) const noexcept {
     if (path_ == ProbePath::kIndexed) index_.prefetch(key);
   }

@@ -18,14 +18,6 @@
 #include "common/assert.h"
 #include "simd/probe.h"
 
-// The hal_simd target defines HAL_SIMD_ENABLED=0 (PUBLIC) when built with
-// -DHAL_SIMD=OFF; the default build leaves it undefined, meaning on. The
-// prefetch hints below ride the same knob so the scalar-only build stays
-// byte-for-byte untouched.
-#if !defined(HAL_SIMD_ENABLED)
-#define HAL_SIMD_ENABLED 1
-#endif
-
 namespace hal::sw {
 
 class KeyBucketIndex {
@@ -118,15 +110,10 @@ class KeyBucketIndex {
   // Software prefetch of the lanes `key` hashes to, for a probe a few
   // iterations ahead (the bucket header plus the front of both lanes —
   // short buckets, the kTargetFill design point, fit the first lines).
-  // Compiles to nothing in the HAL_SIMD=OFF scalar-only build.
   void prefetch(std::uint32_t key) const noexcept {
-#if HAL_SIMD_ENABLED
     const Bucket& b = buckets_[bucket_of(key)];
     __builtin_prefetch(b.keys.data(), 0, 1);
     __builtin_prefetch(b.slots.data(), 0, 1);
-#else
-    (void)key;
-#endif
   }
 
   // Dense lanes of the bucket `key` hashes to, for the probe kernels.

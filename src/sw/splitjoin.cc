@@ -46,12 +46,10 @@ void SplitJoinEngine::process_one(Core& core, std::uint32_t index,
                                   const Tuple& t) {
   const bool is_r = t.origin == StreamId::R;
   const IndexedSoaWindow& opposite = is_r ? core.win_s : core.win_r;
-  if constexpr (obs::kEnabled) {
-    // +1 for the tuple just popped: the depth the broadcaster saw.
-    const std::size_t depth = core.inbox.size_approx() + 1;
-    if (depth > core.inbox_high_water) core.inbox_high_water = depth;
-    core.probes += opposite.size();
-  }
+  // +1 for the tuple just popped: the depth the broadcaster saw.
+  const std::size_t depth = core.inbox.size_approx() + 1;
+  if (depth > core.inbox_high_water) core.inbox_high_water = depth;
+  core.probes += opposite.size();
   // Probe: nested-loop scan over the local sub-window, exactly the
   // hardware Processing Core's job on this fraction of the window.
   for (std::size_t i = 0; i < opposite.size(); ++i) {
@@ -59,7 +57,7 @@ void SplitJoinEngine::process_one(Core& core, std::uint32_t index,
     const Tuple& r = is_r ? t : candidate;
     const Tuple& s = is_r ? candidate : t;
     if (spec_.matches(r, s)) {
-      if constexpr (obs::kEnabled) ++core.matches;
+      ++core.matches;
       ResultTuple result{r, s};
       SpinBackoff backoff;  // gatherer backpressure
       while (!core.outbox.try_push(result)) backoff.pause();
@@ -83,17 +81,15 @@ void SplitJoinEngine::process_batch(Core& core, std::uint32_t index,
   core.match_buf.clear();
   std::size_t batch_matches = 0;
   const std::size_t n = batch.size();
-  if constexpr (obs::kEnabled) {
-    const std::size_t depth = core.batch_inbox.size_approx() + 1;
-    if (depth > core.inbox_high_water) core.inbox_high_water = depth;
-  }
+  const std::size_t depth = core.batch_inbox.size_approx() + 1;
+  if (depth > core.inbox_high_water) core.inbox_high_water = depth;
   // Tuples are consumed in arrival order with the same probe-then-insert
   // step as process_one — batching changes the dispatch and flush
   // granularity, never the per-tuple semantics, which is what keeps the
   // deterministic obs projection byte-identical to the oracle path.
   for (std::size_t i = 0; i < n; ++i) {
-    // Hide the bucket-lane miss of a probe a few tuples ahead (no-op in
-    // the HAL_SIMD=OFF build and on the kScan path).
+    // Hide the bucket-lane miss of a probe a few tuples ahead (no-op on
+    // the kScan path).
     constexpr std::size_t kPrefetchDistance = 8;
     if (i + kPrefetchDistance < n) {
       const bool pf_r = batch.origin_at(i + kPrefetchDistance) == StreamId::R;
@@ -102,7 +98,7 @@ void SplitJoinEngine::process_batch(Core& core, std::uint32_t index,
     }
     const bool is_r = batch.origin_at(i) == StreamId::R;
     const IndexedSoaWindow& opposite = is_r ? core.win_s : core.win_r;
-    if constexpr (obs::kEnabled) core.probes += opposite.size();
+    core.probes += opposite.size();
     std::size_t hits = 0;
     if (pure_key_equi_ && count_only) {
       // Pure count kernel: one vectorized pass, nothing materialized.
@@ -128,7 +124,7 @@ void SplitJoinEngine::process_batch(Core& core, std::uint32_t index,
             }
           });
     }
-    if constexpr (obs::kEnabled) core.matches += hits;
+    core.matches += hits;
     batch_matches += hits;
 
     IndexedSoaWindow& own = is_r ? core.win_r : core.win_s;

@@ -458,15 +458,15 @@ TEST(Elastic, ControllerMetricsExport) {
   ctl.collect_metrics(reg, "elastic.");
   engine.collect_metrics(reg, "cluster.");
   const obs::ObsSnapshot snap = reg.snapshot("elastic-test");
-  if (const auto* m = snap.find("elastic.migrations")) {
-    EXPECT_EQ(m->counter_value, 1u);
-    const auto* moved = snap.find("elastic.moved_keyslots");
-    ASSERT_NE(moved, nullptr);
-    EXPECT_GT(moved->counter_value, 0u);
-    const auto* shards = snap.find("cluster.elastic.active_shards");
-    ASSERT_NE(shards, nullptr);
-    EXPECT_EQ(shards->counter_value, 3u);
-  }  // else: HAL_OBS=0 shell registry — nothing to assert.
+  const auto* migrations = snap.find("elastic.migrations");
+  ASSERT_NE(migrations, nullptr);
+  EXPECT_EQ(migrations->counter_value, 1u);
+  const auto* moved = snap.find("elastic.moved_keyslots");
+  ASSERT_NE(moved, nullptr);
+  EXPECT_GT(moved->counter_value, 0u);
+  const auto* shards = snap.find("cluster.elastic.active_shards");
+  ASSERT_NE(shards, nullptr);
+  EXPECT_EQ(shards->counter_value, 3u);
 }
 
 // The migration rebuild loop reloads every affected slot's windows

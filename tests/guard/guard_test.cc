@@ -420,7 +420,6 @@ TEST(GuardedEngine, LatchedShedsRecoverWhenTheBacklogDrains) {
 }
 
 TEST(GuardedEngine, MetricsSurfaceUnderTheGuardPrefix) {
-  if (!obs::kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   EngineConfig cfg = sw_config(Backend::kSwBatch);
   cfg.guard.enabled = true;
   cfg.guard.force_overload = true;

@@ -210,9 +210,9 @@ TEST(GuardControllerLoop, QuarantinesTheSlowShardAndStaysExact) {
   obs::MetricRegistry reg;
   guard_ctl.collect_metrics(reg, "guard.");
   const auto snap = reg.snapshot("quarantine");
-  if (const auto* m = snap.find("guard.quarantines")) {
-    EXPECT_EQ(m->counter_value, 1u);
-  }  // else: HAL_OBS=0 shell registry.
+  const auto* quarantines = snap.find("guard.quarantines");
+  ASSERT_NE(quarantines, nullptr);
+  EXPECT_EQ(quarantines->counter_value, 1u);
 }
 
 TEST(GuardControllerLoop, HealthyClusterIsNeverTouched) {

@@ -2,9 +2,6 @@
 // distributions, order-independent merges, registry semantics, and the
 // JSON/CSV exporters (including the deterministic-only projection and the
 // json_lint checker the snapshot tests rely on).
-//
-// The suite is written to pass under both HAL_OBS=1 and HAL_OBS=0; the
-// assertions that need live metrics are gated on obs::kEnabled.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -27,7 +24,6 @@ TEST(ExponentialBuckets, LadderShape) {
 }
 
 TEST(Histogram, BucketBoundariesAreInclusiveUpper) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   // Buckets: (-inf,1], (1,2], (2,4], overflow (4,+inf).
   Histogram h({1.0, 2.0, 4.0});
   h.record(1.0);  // upper bound lands in its own bucket
@@ -48,7 +44,6 @@ TEST(Histogram, BucketBoundariesAreInclusiveUpper) {
 }
 
 TEST(Histogram, QuantilesOnKnownDistribution) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   // 100 samples uniform over (0, 100]: one per bucket of width 1.
   std::vector<double> bounds;
   for (int i = 1; i <= 100; ++i) bounds.push_back(i);
@@ -65,7 +60,6 @@ TEST(Histogram, QuantilesOnKnownDistribution) {
 }
 
 TEST(Histogram, SkewedDistributionTailQuantile) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   // 98 fast samples and 2 slow outliers: p50 stays in the fast bucket,
   // p99 (nearest rank 99 of 100) must climb into the outliers' bucket,
   // max is exact.
@@ -80,7 +74,6 @@ TEST(Histogram, SkewedDistributionTailQuantile) {
 }
 
 TEST(Histogram, MergeIsOrderIndependent) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   const auto bounds = exponential_buckets(1.0, 2.0, 8);
   Histogram a(bounds);
   Histogram b(bounds);
@@ -109,7 +102,6 @@ TEST(Histogram, MergeIsOrderIndependent) {
 }
 
 TEST(Histogram, MergeRejectsMismatchedLadders) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   Histogram a({1.0, 2.0});
   Histogram b({1.0, 3.0});
   b.record(0.5);
@@ -126,7 +118,6 @@ TEST(Histogram, EmptySnapshotIsAllZero) {
 }
 
 TEST(Histogram, ConcurrentRecordsAllLand) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   Histogram h(exponential_buckets(1.0, 2.0, 10));
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10'000;
@@ -149,21 +140,16 @@ TEST(Registry, CountersGaugesAndReRegistration) {
   reg.counter("a.count").inc();
   reg.gauge("a.depth").set_max(7.0);
   reg.gauge("a.depth").set_max(5.0);  // lower: ignored
-  if (kEnabled) {
-    EXPECT_EQ(reg.counter("a.count").value(), 4u);
-    EXPECT_DOUBLE_EQ(reg.gauge("a.depth").value(), 7.0);
-    EXPECT_EQ(reg.size(), 2u);
-    // Same name with a different kind or stability is API misuse.
-    EXPECT_THROW(reg.gauge("a.count"), PreconditionError);
-    EXPECT_THROW(reg.counter("a.count", Stability::kRuntime),
-                 PreconditionError);
-  } else {
-    EXPECT_EQ(reg.size(), 0u);
-  }
+  EXPECT_EQ(reg.counter("a.count").value(), 4u);
+  EXPECT_DOUBLE_EQ(reg.gauge("a.depth").value(), 7.0);
+  EXPECT_EQ(reg.size(), 2u);
+  // Same name with a different kind or stability is API misuse.
+  EXPECT_THROW(reg.gauge("a.count"), PreconditionError);
+  EXPECT_THROW(reg.counter("a.count", Stability::kRuntime),
+               PreconditionError);
 }
 
 TEST(Registry, SnapshotIsNameSorted) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   MetricRegistry reg;
   reg.set_counter("z.last", 1);
   reg.set_counter("a.first", 2);
@@ -179,7 +165,6 @@ TEST(Registry, SnapshotIsNameSorted) {
 }
 
 TEST(Export, JsonIsValidAndFiltersRuntime) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   MetricRegistry reg;
   reg.set_counter("det.count", 42);
   reg.set_counter("rt.count", 7, Stability::kRuntime);
@@ -203,7 +188,6 @@ TEST(Export, JsonIsValidAndFiltersRuntime) {
 }
 
 TEST(Export, CsvHasHeaderAndRows) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   MetricRegistry reg;
   reg.set_counter("one", 1);
   reg.histogram("lat", {1.0, 2.0}).record(1.5);
@@ -226,7 +210,6 @@ TEST(Export, JsonLintAcceptsAndRejects) {
 }
 
 TEST(Export, EqualSnapshotsSerializeByteIdentically) {
-  if (!kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   auto build = [] {
     MetricRegistry reg;
     reg.set_counter("x", 9);

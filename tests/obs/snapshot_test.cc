@@ -77,24 +77,19 @@ TEST_P(SnapshotBackendTest, RunProducesValidObsJson) {
   EXPECT_TRUE(obs::json_lint(full));
   EXPECT_NE(full.find(to_string(GetParam())), std::string::npos);  // label
 
-  if (obs::kEnabled) {
-    const auto* tuples = snap.find("run.tuples_processed");
-    ASSERT_NE(tuples, nullptr);
-    EXPECT_EQ(tuples->counter_value, 400u);
-    EXPECT_NE(snap.find("run.results_emitted"), nullptr);
-    // Every backend threads its internals through collect_metrics.
-    bool has_engine_metric = false;
-    for (const auto& m : snap.metrics) {
-      if (m.name.rfind("engine.", 0) == 0) has_engine_metric = true;
-    }
-    EXPECT_TRUE(has_engine_metric);
-  } else {
-    EXPECT_TRUE(snap.metrics.empty());  // HAL_OBS=0: hooks are no-ops
+  const auto* tuples = snap.find("run.tuples_processed");
+  ASSERT_NE(tuples, nullptr);
+  EXPECT_EQ(tuples->counter_value, 400u);
+  EXPECT_NE(snap.find("run.results_emitted"), nullptr);
+  // Every backend threads its internals through collect_metrics.
+  bool has_engine_metric = false;
+  for (const auto& m : snap.metrics) {
+    if (m.name.rfind("engine.", 0) == 0) has_engine_metric = true;
   }
+  EXPECT_TRUE(has_engine_metric);
 }
 
 TEST_P(SnapshotBackendTest, DeterministicProjectionIsByteIdentical) {
-  if (!obs::kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   const std::string first = deterministic_json(GetParam());
   const std::string second = deterministic_json(GetParam());
   EXPECT_TRUE(obs::json_lint(first));
@@ -120,7 +115,6 @@ INSTANTIATE_TEST_SUITE_P(
 // tallies are order-independent sums; this test is the tripwire should a
 // future counter become path- or ISA-shaped without a kRuntime tag.)
 TEST(Snapshot, ProjectionInvariantUnderProbePathAndIsa) {
-  if (!obs::kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   for (const Backend b :
        {Backend::kSwSplitJoin, Backend::kSwBatch, Backend::kCluster}) {
     const std::string oracle = deterministic_json_path(
@@ -144,7 +138,6 @@ TEST(Snapshot, ProjectionInvariantUnderProbePathAndIsa) {
 }
 
 TEST(Snapshot, ProjectionComparisonHasTeeth) {
-  if (!obs::kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   // A different workload must yield a different deterministic projection —
   // otherwise byte-equality above would be vacuous.
   EXPECT_NE(deterministic_json(Backend::kHwUniflow, 101),
@@ -152,7 +145,6 @@ TEST(Snapshot, ProjectionComparisonHasTeeth) {
 }
 
 TEST(Snapshot, HarnessPublishesIntoCallerRegistry) {
-  if (!obs::kEnabled) GTEST_SKIP() << "HAL_OBS=0";
   obs::MetricRegistry reg;
   hw::UniflowConfig cfg;
   cfg.num_cores = 2;

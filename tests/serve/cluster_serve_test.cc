@@ -236,8 +236,7 @@ TEST(ClusterServe, ReportAndMetricsAreConsistent) {
 
   obs::MetricRegistry registry;
   svc.collect_metrics(registry, "serve.");
-  EXPECT_EQ(registry.counter("serve.tenants").value(),
-            HAL_OBS ? 2u : 0u);
+  EXPECT_EQ(registry.counter("serve.tenants").value(), 2u);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "hw/biflow/engine.h"
 #include "hw/opchain/op_chain_engine.h"
 #include "hw/uniflow/engine.h"
-#include "obs/enabled.h"
 #include "obs/export.h"
 #include "sim/barrier.h"
 #include "sim/fifo.h"
@@ -359,7 +358,7 @@ struct EngineRun {
   std::uint64_t cycle = 0;
   std::vector<stream::ResultTuple> results;
   std::string obs_json;
-  std::uint64_t gathering_stalls = 0;  // uniflow only; 0 with HAL_OBS=0
+  std::uint64_t gathering_stalls = 0;  // uniflow only
 };
 
 // One point of the uni-flow sweep. The threaded kernel steps every module
@@ -481,7 +480,7 @@ TEST(EngineDeterminism, UniflowByteIdenticalAcrossThreads) {
     SCOPED_TRACE(describe(c));
     const EngineRun serial = expect_identical_across_threads(
         [&](std::uint32_t t) { return run_uniflow(c, t); });
-    if (obs::kEnabled && c.key_domain == 1) {
+    if (c.key_domain == 1) {
       EXPECT_GT(serial.gathering_stalls, 0u) << "no backpressure";
     }
   }

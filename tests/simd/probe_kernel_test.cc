@@ -298,13 +298,6 @@ TEST(ProbeKernelDispatch, ForcingUnrunnableIsaClampsToRunnable) {
 }
 
 TEST(ProbeKernelDispatch, DetectionConsistentWithBuildKnob) {
-  if (!compiled_with_simd()) {
-    EXPECT_EQ(detected_isa(), Isa::kScalar)
-        << "HAL_SIMD=OFF build must detect scalar only";
-    EXPECT_EQ(force_isa(Isa::kAvx2), Isa::kScalar);
-    EXPECT_EQ(force_isa(Isa::kNeon), Isa::kScalar);
-    reset_isa();
-  }
 #if defined(__x86_64__) || defined(_M_X64)
   EXPECT_NE(detected_isa(), Isa::kNeon) << "NEON detected on x86";
 #endif
