@@ -12,12 +12,21 @@
 //                default 64, scan probe) instead of the tuple-at-a-time
 //                oracle path.
 //
+// Each (cores, window) engine is prefilled once and then timed on
+// kSlices consecutive slices of the point's tuple count. The windows stay
+// full, so every slice is a steady-state sample; a point reports the
+// median and the min-max of its slices, and the claims read the medians
+// (one 1-15 ms timing per point flipped the monotone-decline claim with
+// host noise). Throughputs print with four significant digits: the
+// tuple path's largest windows run below 0.001 Mt/s.
+//
 // Alongside the absolute series, every (cores, window) point is paired
 // with a 1-core run of the same window so the JSON artifact
 // (BENCH_fig14d.json) reports per-core scaling efficiency
 // mtps(cores) / (cores · mtps(1)) — on an oversubscribed host this is
 // far below 1 and that is the point: it quantifies how much of the
 // paper's separation the host can express.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -32,16 +41,38 @@
 
 namespace {
 
+constexpr int kSlices = 5;
+
+// The median and range of one point's slices.
+struct Timing {
+  double mtps = 0.0;  // median
+  double mtps_min = 0.0;
+  double mtps_max = 0.0;
+  double elapsed = 0.0;  // median seconds per slice
+};
+
 struct Point {
   std::uint32_t cores = 0;
   int window_exp = 0;
-  double mtps = 0.0;
+  Timing t;
   double mtps_1core = 0.0;
   double efficiency = 0.0;  // mtps / (cores * mtps_1core)
 };
 
-double run_one(std::uint32_t cores, std::size_t window, std::size_t tuples,
-               std::size_t dispatch_batch, double* elapsed_out) {
+// Four significant digits, for the table and the JSON artifact alike.
+std::string sig4(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.4g", v);
+  return buf;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+Timing run_point(std::uint32_t cores, std::size_t window, std::size_t tuples,
+                 std::size_t dispatch_batch) {
   hal::sw::SplitJoinConfig cfg;
   cfg.num_cores = cores;
   cfg.window_size = window - (window % cores);
@@ -57,12 +88,22 @@ double run_one(std::uint32_t cores, std::size_t window, std::size_t tuples,
   hal::stream::WorkloadGenerator gen(wl);
   engine.prefill(gen.take(2 * cfg.window_size));
 
-  const hal::sw::SwRunReport r =
-      dispatch_batch > 0 ? engine.process_batched(gen.take(tuples),
-                                                  dispatch_batch)
-                         : engine.process(gen.take(tuples));
-  if (elapsed_out != nullptr) *elapsed_out = r.elapsed_seconds;
-  return r.throughput_tuples_per_sec() / 1e6;
+  std::vector<double> mtps;
+  std::vector<double> elapsed;
+  for (int slice = 0; slice < kSlices; ++slice) {
+    const std::vector<hal::stream::Tuple> batch = gen.take(tuples);
+    const hal::sw::SwRunReport r =
+        dispatch_batch > 0 ? engine.process_batched(batch, dispatch_batch)
+                           : engine.process(batch);
+    mtps.push_back(r.throughput_tuples_per_sec() / 1e6);
+    elapsed.push_back(r.elapsed_seconds);
+  }
+  Timing t;
+  t.mtps = median(mtps);
+  t.mtps_min = *std::min_element(mtps.begin(), mtps.end());
+  t.mtps_max = *std::max_element(mtps.begin(), mtps.end());
+  t.elapsed = median(elapsed);
+  return t;
 }
 
 }  // namespace
@@ -93,10 +134,10 @@ int main(int argc, char** argv) {
                         .c_str()
                   : "tuple-at-a-time");
 
-  Table table({"window", "join cores", "tuples", "elapsed (s)",
-               "throughput (Mtuples/s)", "scaling eff."});
+  Table table({"window", "join cores", "tuples/slice", "elapsed (s)",
+               "throughput (Mtuples/s)", "min-max", "scaling eff."});
   std::map<int, double> mtps28;
-  std::map<int, double> mtps1;  // 1-core baseline per window
+  std::map<int, double> mtps1;  // 1-core baseline (median) per window
   std::vector<Point> points;
 
   for (const std::uint32_t cores : {16u, 28u}) {
@@ -104,26 +145,29 @@ int main(int argc, char** argv) {
       const std::size_t window = std::size_t{1} << exp;
       const std::size_t num_tuples = exp >= 20 ? 48 : 256;
       if (mtps1.find(exp) == mtps1.end()) {
-        mtps1[exp] = run_one(1, window, num_tuples, dispatch_batch, nullptr);
+        mtps1[exp] = run_point(1, window, num_tuples, dispatch_batch).mtps;
       }
-      double elapsed = 0.0;
-      const double mtps =
-          run_one(cores, window, num_tuples, dispatch_batch, &elapsed);
+      const Timing t = run_point(cores, window, num_tuples, dispatch_batch);
       const double eff =
-          mtps1[exp] > 0.0 ? mtps / (cores * mtps1[exp]) : 0.0;
-      if (cores == 28) mtps28[exp] = mtps;
-      points.push_back({cores, exp, mtps, mtps1[exp], eff});
+          mtps1[exp] > 0.0 ? t.mtps / (cores * mtps1[exp]) : 0.0;
+      if (cores == 28) mtps28[exp] = t.mtps;
+      points.push_back({cores, exp, t, mtps1[exp], eff});
       table.add_row({"2^" + std::to_string(exp), Table::integer(cores),
-                     Table::integer(num_tuples), Table::num(elapsed, 4),
-                     Table::num(mtps, 4), Table::num(eff, 3)});
+                     Table::integer(num_tuples), Table::num(t.elapsed, 4),
+                     sig4(t.mtps),
+                     sig4(t.mtps_min) + "-" + sig4(t.mtps_max),
+                     Table::num(eff, 3)});
     }
   }
   table.print();
   std::printf(
       "\n(paper's sweep extends to 2^23; capped at 2^21 here to bound the "
       "single-CPU runtime — the 1/W trend is established well before "
-      "that. scaling eff. = mtps / (cores x 1-core mtps); time-shared "
-      "threads on this host keep it well below 1.)\n");
+      "that. Each point is the median of %d consecutive slices on one "
+      "prefilled engine; elapsed is a slice's median. scaling eff. = mtps "
+      "/ (cores x 1-core mtps); time-shared threads on this host keep it "
+      "well below 1.)\n",
+      kSlices);
 
   const std::string json_path = bench::out_path("BENCH_fig14d.json");
   if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
@@ -131,13 +175,17 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"dispatch_batch\": %zu,\n", dispatch_batch);
     std::fprintf(f, "  \"host_hw_threads\": %u,\n",
                  std::thread::hardware_concurrency());
+    std::fprintf(f, "  \"slices_per_point\": %d,\n", kSlices);
     std::fprintf(f, "  \"sweep\": [\n");
     for (std::size_t i = 0; i < points.size(); ++i) {
       const Point& p = points[i];
       std::fprintf(f,
-                   "    {\"cores\": %u, \"window_exp\": %d, \"mtps\": %.4f, "
-                   "\"mtps_1core\": %.4f, \"scaling_efficiency\": %.4f}%s\n",
-                   p.cores, p.window_exp, p.mtps, p.mtps_1core, p.efficiency,
+                   "    {\"cores\": %u, \"window_exp\": %d, \"mtps\": %s, "
+                   "\"mtps_min\": %s, \"mtps_max\": %s, \"mtps_1core\": %s, "
+                   "\"scaling_efficiency\": %s}%s\n",
+                   p.cores, p.window_exp, sig4(p.t.mtps).c_str(),
+                   sig4(p.t.mtps_min).c_str(), sig4(p.t.mtps_max).c_str(),
+                   sig4(p.mtps_1core).c_str(), sig4(p.efficiency).c_str(),
                    i + 1 < points.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
@@ -155,8 +203,8 @@ int main(int argc, char** argv) {
                "software throughput declines monotonically with window "
                "size (paper: ∝ 1/W)");
 
-  // Slope check: quadrupling W should cut throughput to roughly a quarter
-  // (within loose factor-2 tolerance for host noise).
+  // Slope check on the medians: quadrupling W should cut throughput to
+  // roughly a quarter (within loose factor-2 tolerance for host noise).
   const double slope = mtps28[16] / mtps28[18];
   bench::claim(slope > 2.0 && slope < 8.0,
                "4x window → ~4x lower throughput (measured " +

@@ -261,9 +261,7 @@ std::size_t UniflowJoinCore::next_read(const SubWindow& opposite) const {
   const Tuple& probe = *probe_tuple_;
   const std::size_t last = scan_len_ - 1;
   if (spec_.is_pure_key_equi()) {
-    return opposite.find_if(scan_idx_, last, [key = probe.key](const Tuple& c) {
-      return c.key == key;
-    });
+    return opposite.find_key(scan_idx_, last, probe.key);
   }
   const bool probe_is_r = probe.origin == StreamId::R;
   return opposite.find_if(scan_idx_, last, [&](const Tuple& c) {

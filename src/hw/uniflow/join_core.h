@@ -17,13 +17,17 @@
 // candidate, advances scan_idx_ past the misses and sleeps until the cycle
 // at which the per-cycle FSM would read that candidate
 // (Module::sleep_until). It then reads it as before: Emit Result, its
-// backpressure stall and Join Wait fall on the same cycles. The opposite
-// window cannot change mid-scan, since the core holds one word in flight
-// and stores only into its own stream's window. probes() counts the
-// skipped reads only as their cycles elapse, and proc_state() reads Join
-// Processing throughout, so every observer sees the per-cycle FSM. An
-// early wake (a word reaching the Fetcher) sleeps again; the threaded
-// kernel's every-cycle eval() is a no-op until the wake cycle.
+// backpressure stall and Join Wait fall on the same cycles. A pure
+// key-equi spec searches the sub-window's key lane, where
+// simd::probe_count rules out whole stretches of the ring
+// (SubWindow::find_key); other specs test JoinSpec::matches slot by
+// slot. The opposite window cannot change mid-scan, since the core holds
+// one word in flight and stores only into its own stream's window.
+// probes() counts the skipped reads only as their cycles elapse, and
+// proc_state() reads Join Processing throughout, so every observer sees
+// the per-cycle FSM. An early wake (a word reaching the Fetcher) sleeps
+// again; the threaded kernel's every-cycle eval() is a no-op until the
+// wake cycle.
 //
 // The join operator is runtime-programmable by a two-segment instruction:
 // segment 1 carries the number of join cores and the number of condition

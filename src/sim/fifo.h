@@ -21,10 +21,15 @@
 // that watch it. A FIFO has nothing to evaluate, so it sleeps for good on
 // its first eval(). Pushes and commits from outside the kernel (tests,
 // bench harnesses) take the same path, so they wake watchers too.
+//
+// Storage is a fixed ring of `capacity` slots (head + size), allocated once:
+// a staged push writes the free slot behind the committed entries, which no
+// observer reads before the commit that counts it, and a commit only moves
+// indices. A fabric commits a few FIFOs every simulated cycle, so this path
+// allocates nothing and never divides.
 #pragma once
 
-#include <deque>
-#include <optional>
+#include <vector>
 
 #include "common/assert.h"
 #include "sim/module.h"
@@ -35,33 +40,34 @@ template <typename T>
 class Fifo final : public Channel {
  public:
   Fifo(std::string name, std::size_t capacity)
-      : Channel(std::move(name)), capacity_(capacity) {
-    HAL_CHECK(capacity_ > 0, "fifo capacity must be positive");
+      : Channel(std::move(name)), ring_(capacity) {
+    HAL_CHECK(capacity > 0, "fifo capacity must be positive");
   }
 
   // -- producer interface (eval phase) --
   [[nodiscard]] bool can_push() const noexcept {
-    return data_.size() < capacity_;
+    return size_ < ring_.size();
   }
   void push(T value) {
     HAL_ASSERT_MSG(can_push(), "push on full fifo");
-    HAL_ASSERT_MSG(!staged_push_.has_value(), "double push in one cycle");
-    staged_push_ = std::move(value);
+    HAL_ASSERT_MSG(!staged_push_, "double push in one cycle");
+    ring_[slot(size_)] = std::move(value);
+    staged_push_ = true;
     stage();
   }
 
   // -- consumer interface (eval phase) --
-  [[nodiscard]] bool can_pop() const noexcept { return !data_.empty(); }
+  [[nodiscard]] bool can_pop() const noexcept { return size_ > 0; }
   [[nodiscard]] const T& front() const {
     HAL_ASSERT_MSG(can_pop(), "front on empty fifo");
-    return data_.front();
+    return ring_[head_];
   }
   T pop() {
     HAL_ASSERT_MSG(can_pop(), "pop on empty fifo");
     HAL_ASSERT_MSG(!staged_pop_, "double pop in one cycle");
     staged_pop_ = true;
     stage();
-    return data_.front();
+    return ring_[head_];
   }
 
   // -- observers --
@@ -69,12 +75,12 @@ class Fifo final : public Channel {
   // where the modeled hardware exposes a buffer's contents to a scan (the
   // bi-flow outgoing buffers are part of the window memory bank).
   [[nodiscard]] const T& peek(std::size_t i) const {
-    HAL_ASSERT(i < data_.size());
-    return data_[i];
+    HAL_ASSERT(i < size_);
+    return ring_[slot(i)];
   }
-  [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   // Maximum committed occupancy observed since construction. Deterministic
   // (a function of the cycle-accurate schedule).
   [[nodiscard]] std::size_t high_water() const noexcept {
@@ -84,24 +90,33 @@ class Fifo final : public Channel {
   void eval() override { sleep(); }
 
   void commit() override {
-    if (!staged_pop_ && !staged_push_.has_value()) return;
+    if (!staged_pop_ && !staged_push_) return;
     if (staged_pop_) {
-      data_.pop_front();
+      if (++head_ == ring_.size()) head_ = 0;
+      --size_;
       staged_pop_ = false;
     }
-    if (staged_push_.has_value()) {
-      data_.push_back(std::move(*staged_push_));
-      staged_push_.reset();
-      HAL_ASSERT(data_.size() <= capacity_);
-      if (data_.size() > high_water_) high_water_ = data_.size();
+    if (staged_push_) {
+      ++size_;
+      staged_push_ = false;
+      HAL_ASSERT(size_ <= ring_.size());
+      if (size_ > high_water_) high_water_ = size_;
     }
     changed();
   }
 
  private:
-  std::size_t capacity_;
-  std::deque<T> data_;
-  std::optional<T> staged_push_;
+  // Ring slot at offset i < capacity from the front; offset size() is the
+  // free slot a push writes.
+  [[nodiscard]] std::size_t slot(std::size_t i) const noexcept {
+    const std::size_t s = head_ + i;
+    return s < ring_.size() ? s : s - ring_.size();
+  }
+
+  std::vector<T> ring_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  bool staged_push_ = false;
   bool staged_pop_ = false;
   std::size_t high_water_ = 0;
 };

@@ -33,7 +33,10 @@
 // woken at that cycle. A watched channel may wake it earlier; it then
 // calls sleep() again and keeps its pending timer. A stale or duplicate
 // timer only causes a spurious wake, which the contract below makes
-// harmless.
+// harmless. While every module sleeps and a timer is pending, the serial
+// kernel jumps its clock to the first due timer (simulator.h): a module
+// sees now() advance by more than one between two evals, which a module
+// that derives idle-cycle state from the clock already allows.
 //
 // Sleeping is only ever a shortcut: evaluating a sleeping module changes
 // nothing, so the threaded kernel, which evaluates every module every
@@ -77,9 +80,11 @@ struct Activity {
   std::vector<Channel*> staged;   // committed this cycle
   std::vector<std::vector<Timer>> wheel =
       std::vector<std::vector<Timer>>(kSlots);
+  std::size_t timers = 0;         // pending on the wheel
 
   void add_timer(std::uint64_t cycle, Module* m) {
     wheel[cycle % kSlots].push_back(Timer{cycle, m});
+    ++timers;
   }
 };
 

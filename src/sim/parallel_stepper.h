@@ -36,8 +36,8 @@
 //     wake flag and sleep_until() only sleeps.
 //
 // Workers persist across run() calls and park in SpinBackoff between
-// them, so stepping one cycle at a time (run_until with predicate_epoch 1)
-// costs a wakeup, not a thread spawn.
+// them, so stepping one cycle at a time (run_until checks its predicate
+// after every cycle here) costs a wakeup, not a thread spawn.
 #pragma once
 
 #include <atomic>

@@ -21,11 +21,20 @@
 // Wake lists come from the modules' own watch() declarations, never from
 // link(): links stay a pure partitioning hint.
 //
-// run_until() batches predicate checks to `predicate_epoch` cycles; the
-// batching applies identically to both kernels, so for a fixed config the
-// parallel run always matches the serial one cycle-for-cycle. The default
-// epoch of 1 preserves the historical check-before-every-step semantics
-// bit-exactly.
+// Idle jumps. While no module is awake, no channel is staged and a timed
+// wake is pending, no state can change before that timer fires: the serial
+// kernel moves the clock straight to it (never past the end of the call).
+// Finding it walks the timer wheel one slot per skipped cycle, which costs
+// less than stepping those cycles. With no timer pending a frozen fabric
+// is stepped cycle by cycle. A push() or wake() from outside the kernel
+// between calls stages a channel or wakes a module, so no jump spans it.
+// The threaded kernel keeps no timers and steps every cycle.
+//
+// The predicate contract. run_until()'s predicate reads module state, not
+// the clock. An idle stretch changes no state, so run_until() checks its
+// predicate once per stretch, after the timer's cycle, and stops on the
+// cycle a check before every cycle would: both kernels stop on the same
+// cycle.
 #pragma once
 
 #include <algorithm>
@@ -49,12 +58,6 @@ struct SimConfig {
   // Clamped to the module count at partition time (an empty shard would
   // still pay barrier crossings).
   std::uint32_t threads = 1;
-  // run_until() checks its predicate every `predicate_epoch` cycles
-  // instead of every cycle. 1 = historical semantics. Larger epochs trade
-  // predicate latency (completion overshoot of up to epoch-1 cycles) for
-  // fewer kernel entries — the win is largest for the parallel kernel,
-  // where each entry is a worker wakeup.
-  std::uint64_t predicate_epoch = 1;
 };
 
 class Simulator {
@@ -65,8 +68,6 @@ class Simulator {
   void configure(const SimConfig& cfg) {
     HAL_CHECK(!started_, "the simulator is configured before the first step");
     HAL_CHECK(cfg.threads >= 1, "SimConfig.threads must be >= 1");
-    HAL_CHECK(cfg.predicate_epoch >= 1,
-              "SimConfig.predicate_epoch must be >= 1");
     config_ = cfg;
     stepper_.reset();
   }
@@ -113,52 +114,28 @@ class Simulator {
       activity_.awake = modules_;
       for (Module* m : modules_) m->asleep_ = false;
     }
-    std::vector<Module*>& awake = activity_.awake;
-    std::vector<Channel*>& staged = activity_.staged;
-    for (std::uint64_t c = 0; c < cycles; ++c) {
-      const std::uint64_t now = cycle_.load(std::memory_order_relaxed);
-      std::vector<Activity::Timer>& slot =
-          activity_.wheel[now % Activity::kSlots];
-      if (!slot.empty()) {
-        std::size_t later = 0;
-        for (const Activity::Timer& t : slot) {
-          if (t.cycle <= now) {
-            t.module->wake();
-          } else {
-            slot[later++] = t;
-          }
-        }
-        slot.resize(later);
-      }
-      std::size_t kept = 0;
-      for (Module* m : awake) {
-        m->eval();
-        if (!m->asleep_) awake[kept++] = m;
-      }
-      awake.resize(kept);
-      // Commits append the modules they wake to `awake`.
-      for (Channel* ch : staged) {
-        ch->queued_ = false;
-        ch->commit();
-      }
-      staged.clear();
-      cycle_.store(now + 1, std::memory_order_relaxed);
+    while (cycles > 0) {
+      cycles -= skip_idle(cycles);
+      if (cycles == 0) return;
+      step_serial();
+      --cycles;
     }
   }
 
   // Run until `done()` returns true or `max_cycles` elapse (counted from
-  // the call). Returns the number of cycles stepped. The predicate is
-  // checked before each epoch of `predicate_epoch` cycles, so a predicate
-  // that is already true costs 0 and the default epoch of 1 checks before
-  // every step.
+  // the call). Returns the number of cycles stepped. `done` must read
+  // module state only (the predicate contract above): it is checked before
+  // the first cycle, so a predicate that is already true costs 0, and
+  // after every cycle that can change state; an idle stretch and the
+  // timer's cycle that ends it are stepped as one batch.
   template <typename Pred>
   std::uint64_t run_until(Pred&& done, std::uint64_t max_cycles) {
-    const std::uint64_t epoch = config_.predicate_epoch;
     std::uint64_t stepped = 0;
     while (stepped < max_cycles && !done()) {
-      const std::uint64_t batch = std::min(epoch, max_cycles - stepped);
-      step_n(batch);
-      stepped += batch;
+      stepped += skip_idle(max_cycles - stepped);
+      if (stepped == max_cycles) break;
+      step_n(1);
+      ++stepped;
     }
     return stepped;
   }
@@ -226,6 +203,66 @@ class Simulator {
   }
 
  private:
+  // One cycle of the serial kernel: fire the timers due now, evaluate the
+  // awake modules, commit the staged channels.
+  void step_serial() {
+    const std::uint64_t now = cycle_.load(std::memory_order_relaxed);
+    std::vector<Activity::Timer>& slot =
+        activity_.wheel[now % Activity::kSlots];
+    if (!slot.empty()) {
+      std::size_t later = 0;
+      for (const Activity::Timer& t : slot) {
+        if (t.cycle <= now) {
+          t.module->wake();
+        } else {
+          slot[later++] = t;
+        }
+      }
+      activity_.timers -= slot.size() - later;
+      slot.resize(later);
+    }
+    std::vector<Module*>& awake = activity_.awake;
+    std::size_t kept = 0;
+    for (Module* m : awake) {
+      m->eval();
+      if (!m->asleep_) awake[kept++] = m;
+    }
+    awake.resize(kept);
+    // Commits append the modules they wake to `awake`.
+    for (Channel* ch : activity_.staged) {
+      ch->queued_ = false;
+      ch->commit();
+    }
+    activity_.staged.clear();
+    cycle_.store(now + 1, std::memory_order_relaxed);
+  }
+
+  // Moves the clock over the idle cycles ahead, at most `limit`, and
+  // returns how many it skipped: the cycles before the first one whose
+  // wheel slot holds a due timer, while no module is awake and no channel
+  // is staged. 0 when any module is awake, a channel is staged or no timer
+  // is pending (always so on the threaded kernel, which keeps none). The
+  // walk visits one slot per skipped cycle, as stepping them would.
+  std::uint64_t skip_idle(std::uint64_t limit) {
+    if (activity_.timers == 0 || !activity_.awake.empty() ||
+        !activity_.staged.empty()) {
+      return 0;
+    }
+    const std::uint64_t now = cycle_.load(std::memory_order_relaxed);
+    std::uint64_t idle = 0;
+    for (; idle < limit; ++idle) {
+      const std::uint64_t c = now + idle;
+      const std::vector<Activity::Timer>& slot =
+          activity_.wheel[c % Activity::kSlots];
+      if (std::any_of(slot.begin(), slot.end(),
+                      [c](const Activity::Timer& t) { return t.cycle <= c; })) {
+        break;
+      }
+    }
+    cycle_.store(now + idle, std::memory_order_relaxed);
+    return idle;
+  }
+
   void ensure_stepper() {
     if (stepper_ != nullptr) return;
     // The all-module kernel keeps no work lists or timers: detach them

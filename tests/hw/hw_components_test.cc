@@ -3,6 +3,7 @@
 // Figs. 12 and 13.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "hw/uniflow/gnode.h"
 #include "hw/uniflow/join_core.h"
 #include "sim/simulator.h"
+#include "simd/probe.h"
 
 namespace hal::hw {
 namespace {
@@ -58,6 +60,49 @@ TEST(SubWindow, ClearResets) {
   EXPECT_EQ(w.size(), 0u);
   w.insert(make_tuple(9, StreamId::R, 1));
   EXPECT_EQ(w.at(0).key, 9u);
+}
+
+// The key lane's search returns what a scan of the tuples returns, for every
+// (from, last) pair: capacities 1-130 (a lane shorter than, equal to and
+// longer than the SIMD width, and its tail), rings filled below, at and past
+// capacity (wrapped at several write positions), duplicate-heavy keys and an
+// absent one, on the scalar kernels and on the detected ISA.
+TEST(SubWindow, KeyLaneSearchMatchesTupleScan) {
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::detected_isa()}) {
+    ASSERT_EQ(simd::force_isa(isa), isa);
+    std::uint32_t lcg = 12345;
+    for (std::size_t cap = 1; cap <= 130; ++cap) {
+      for (const std::size_t fill :
+           {cap / 2, cap, cap + 1 + cap / 3, 2 * cap + 5}) {
+        SubWindow w(cap);
+        for (std::size_t i = 0; i < fill; ++i) {
+          lcg = lcg * 1664525u + 1013904223u;
+          w.insert(make_tuple((lcg >> 16) % 4, StreamId::R, i));
+        }
+        const std::size_t n = w.size();
+        for (const std::uint32_t key : {0u, 3u, 9u}) {
+          // next[i]: the first index >= i whose tuple carries `key`.
+          std::vector<std::size_t> next(n + 1, n);
+          for (std::size_t i = n; i-- > 0;) {
+            next[i] = w.at(i).key == key ? i : next[i + 1];
+          }
+          for (std::size_t from = 0; from <= n; ++from) {
+            ASSERT_EQ(w.find_if(from, n,
+                                [key](const Tuple& t) { return t.key == key; }),
+                      next[from]);
+            for (std::size_t last = from; last <= n; ++last) {
+              ASSERT_EQ(w.find_key(from, last, key),
+                        std::min(next[from], last))
+                  << "isa " << simd::to_string(isa) << ", capacity " << cap
+                  << ", fill " << fill << ", key " << key << ", [" << from
+                  << ", " << last << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+  simd::reset_isa();
 }
 
 // --- words ----------------------------------------------------------------------

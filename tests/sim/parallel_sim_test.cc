@@ -290,7 +290,7 @@ TEST(ParallelStepper, StepNZeroIsNoOp) {
   EXPECT_EQ(sim.cycle(), 5u);
 }
 
-// --- run_until epoch batching ---------------------------------------------
+// --- run_until -------------------------------------------------------------
 
 TEST(RunUntil, DefaultEpochChecksEveryCycle) {
   Simulator sim;
@@ -299,29 +299,8 @@ TEST(RunUntil, DefaultEpochChecksEveryCycle) {
   EXPECT_EQ(sim.cycle(), 3u);
 }
 
-TEST(RunUntil, EpochBatchingOvershootsToEpochBoundary) {
-  SimConfig cfg;
-  cfg.predicate_epoch = 4;
-  Simulator sim(cfg);
-  // Predicate turns true at cycle 2, but the check happens every 4 cycles.
-  const auto stepped = sim.run_until([&] { return sim.cycle() >= 2; }, 100);
-  EXPECT_EQ(stepped, 4u);
-  EXPECT_EQ(sim.cycle(), 4u);
-}
-
-TEST(RunUntil, EpochRespectsMaxCyclesExactly) {
-  SimConfig cfg;
-  cfg.predicate_epoch = 8;
-  Simulator sim(cfg);
-  const auto stepped = sim.run_until([] { return false; }, 21);
-  EXPECT_EQ(stepped, 21u);
-  EXPECT_EQ(sim.cycle(), 21u);
-}
-
 TEST(RunUntil, AlreadyTruePredicateCostsNothing) {
-  SimConfig cfg;
-  cfg.predicate_epoch = 16;
-  Simulator sim(cfg);
+  Simulator sim;
   const auto stepped = sim.run_until([] { return true; }, 100);
   EXPECT_EQ(stepped, 0u);
   EXPECT_EQ(sim.cycle(), 0u);
@@ -499,10 +478,8 @@ TEST(EngineDeterminism, OpChainByteIdenticalAcrossThreads) {
 TEST(EngineDeterminism, SimThreadsConfigSurvivesCopy) {
   UniflowConfig cfg;
   cfg.sim.threads = 8;
-  cfg.sim.predicate_epoch = 4;
   UniflowConfig copy = cfg;
   EXPECT_EQ(copy.sim.threads, 8u);
-  EXPECT_EQ(copy.sim.predicate_epoch, 4u);
 }
 
 }  // namespace
