@@ -200,7 +200,7 @@ std::unique_ptr<ClusterEngine::Worker> ClusterEngine::make_worker(
   }
   auto w = std::make_unique<Worker>(index, slot, replica, ingress,
                                     cfg_.transport.egress,
-                                    cfg_.transport.batch_size);
+                                    cfg_.transport.batch_size, merger_bell_);
   if (cfg_.transport.worker_addresses.empty()) {
     w->engine = core::make_engine(engine_cfg);
   }
@@ -373,7 +373,7 @@ void ClusterEngine::worker_loop(Worker& w) {
       if (!consume(w, std::move(batch), /*replaying=*/true)) return;
     }
   }
-  SpinBackoff backoff;
+  SpinBackoff backoff(w.bell);
   while (true) {
     w.heartbeat.fetch_add(1, std::memory_order_relaxed);
     TupleBatch batch;
@@ -451,9 +451,16 @@ bool ClusterEngine::consume(Worker& w, TupleBatch batch, bool replaying) {
   }
   if (batch.end_of_epoch) w.epoch_batches = 0;
 
-  WorkerStep::Outcome out;
+  bool sent = true;
   try {
-    out = w.step.run(*w.engine, batch, [&](ResultBatch results) {
+    const WorkerStep::Outcome out = w.step.process(*w.engine, batch);
+    // Counted before the result send: the process() thread reads them as
+    // soon as it has merged the epoch this send may complete.
+    w.busy_seconds.store(w.busy_seconds.load(std::memory_order_relaxed) +
+                             slow_seconds + out.engine_seconds,
+                         std::memory_order_relaxed);
+    w.results_out.fetch_add(out.results, std::memory_order_relaxed);
+    sent = w.step.ship(batch, [&](ResultBatch results) {
       // Checkpoint before the end-of-epoch send: once the main thread has
       // merged an epoch, the matching image is already published, which
       // is what makes replay-log truncation at the next process() sound.
@@ -466,11 +473,7 @@ bool ClusterEngine::consume(Worker& w, TupleBatch batch, bool replaying) {
     // this worker only.
     return fail_stop(w, batch.epoch);
   }
-  w.busy_seconds.store(w.busy_seconds.load(std::memory_order_relaxed) +
-                           slow_seconds + out.engine_seconds,
-                       std::memory_order_relaxed);
-  w.results_out.fetch_add(out.results, std::memory_order_relaxed);
-  return out.sent || egress_lost(w);
+  return sent || egress_lost(w);
 }
 
 // The egress wire gave up (send budget exhausted / breaker open): the
@@ -486,6 +489,7 @@ bool ClusterEngine::egress_lost(Worker& w) {
     w.unrecoverable.store(true, std::memory_order_release);
   }
   w.merge_slot->died.store(true, std::memory_order_release);
+  process_bell_.ring();  // collect_slot may be parked on this slot
   return true;
 }
 
@@ -639,6 +643,7 @@ void ClusterEngine::recover(Worker& w) {
     // is damaged): exact recovery is impossible. Respawn drain-only so
     // the slot degrades cleanly instead of serving wrong answers.
     w.unrecoverable.store(true, std::memory_order_release);
+    process_bell_.ring();  // releases collect_slot's wait on this worker
     w.replay.clear();
     w.replay_floor = std::numeric_limits<std::uint64_t>::max();
   } else {
@@ -654,7 +659,7 @@ void ClusterEngine::recover(Worker& w) {
 }
 
 void ClusterEngine::merger_loop() {
-  SpinBackoff backoff;
+  SpinBackoff backoff(merger_bell_);
   while (true) {
     bool any = false;
     {
@@ -667,10 +672,11 @@ void ClusterEngine::merger_loop() {
         MergeSlot& m = *merge_[w->index];
         // A failed worker's partial epoch is discarded wholesale; the
         // replica's complete epoch (or accounted loss) replaces it.
-        const auto mark_died = [&m] {
+        const auto mark_died = [this, &m] {
           m.pending.clear();
           m.pending_dropped = 0;
           m.died.store(true, std::memory_order_release);
+          process_bell_.ring();
         };
         ResultBatch batch;
         bool received = false;
@@ -690,6 +696,7 @@ void ClusterEngine::merger_loop() {
               m.completed_dropped = std::exchange(m.pending_dropped, 0);
               m.last_deliver_at_us = batch.deliver_at_us;
               m.completed_epoch.store(batch.epoch, std::memory_order_release);
+              process_bell_.ring();
             }
           }
         } catch (const Error&) {
@@ -745,7 +752,7 @@ void ClusterEngine::flush_slot(std::uint32_t slot, bool end_of_epoch) {
 void ClusterEngine::collect_slot(std::uint32_t slot,
                                  std::vector<ResultTuple>& out) {
   const std::uint32_t base = slot * cfg_.replicas;
-  SpinBackoff backoff;
+  SpinBackoff backoff(process_bell_);
   for (std::uint32_t rep = 0; rep < cfg_.replicas; ++rep) {
     MergeSlot& m = *merge_[base + rep];
     if (cfg_.recovery.supervise) {
@@ -1281,6 +1288,19 @@ void ClusterEngine::collect_metrics(obs::MetricRegistry& registry,
                          rep.guard.overload_observations,
                          obs::Stability::kRuntime);
   }
+  // Parks of the cluster's own waits (workers, merger, process()): the
+  // ones that ran out their quantum are idle time, the rest ended on a
+  // ring. Scheduling-dependent, so runtime.
+  std::uint64_t parks = merger_bell_.parks() + process_bell_.parks();
+  std::uint64_t park_timeouts =
+      merger_bell_.park_timeouts() + process_bell_.park_timeouts();
+  for (const auto& w : workers_) {
+    parks += w->bell.parks();
+    park_timeouts += w->bell.park_timeouts();
+  }
+  registry.set_counter(prefix + "parks", parks, obs::Stability::kRuntime);
+  registry.set_counter(prefix + "park_timeouts", park_timeouts,
+                       obs::Stability::kRuntime);
   registry.set_counter(prefix + "breaker.budget_exhausted",
                        rep.budget_exhausted, obs::Stability::kRuntime);
   registry.set_counter(prefix + "breaker.drops", rep.breaker_drops,

@@ -61,6 +61,7 @@
 #include "cluster/placement.h"
 #include "cluster/router.h"
 #include "cluster/transport.h"
+#include "common/backoff.h"
 #include "common/timer.h"
 #include "core/stream_join.h"
 #include "guard/guard.h"
@@ -215,33 +216,32 @@ struct ClusterConfig {
 class WorkerStep {
  public:
   struct Outcome {
-    bool sent = true;             // false: a result send was abandoned
     std::uint64_t results = 0;    // engine emissions, before the filter
     double engine_seconds = 0.0;  // inside the engine
   };
 
   explicit WorkerStep(std::size_t batch_size) : batch_size_(batch_size) {}
 
-  // Runs `batch` through `engine`; `send(ResultBatch)` ships one result
-  // batch and returns false if it gave up. Throws hal::Error on an engine
-  // fault or a failed audit: the cluster contains it as a fail-stop of
-  // the worker, serve_worker fails its run.
+  // Runs `batch` through the audit, the engine and the filter, and stages
+  // the kept results. Throws hal::Error on an engine fault or a failed
+  // audit: the cluster contains it as a fail-stop of the worker,
+  // serve_worker fails its run.
+  Outcome process(core::StreamJoinEngine& engine, const TupleBatch& batch);
+
+  // Then ships the staged results if `batch` ends the epoch or they fill a
+  // result batch: `send(ResultBatch)` ships one and returns false if it
+  // gave up, and so does ship(). A caller accounts for the batch between
+  // the two steps, so the end-of-epoch send publishes its counters.
   template <typename SendFn>
-  Outcome run(core::StreamJoinEngine& engine, const TupleBatch& batch,
-              SendFn&& send) {
-    Outcome out = process(engine, batch);
-    if (batch.end_of_epoch || staged_.size() >= batch_size_) {
-      out.sent = send(take_staged(batch));
-    }
-    return out;
+  bool ship(const TupleBatch& batch, SendFn&& send) {
+    if (!batch.end_of_epoch && staged_.size() < batch_size_) return true;
+    return send(take_staged(batch));
   }
 
   // Forgets the partial epoch (a restart or a rebuild discards it).
   void reset();
 
  private:
-  // Audit, filter and engine for one batch; stages the kept results.
-  Outcome process(core::StreamJoinEngine& engine, const TupleBatch& batch);
   [[nodiscard]] ResultBatch take_staged(const TupleBatch& batch);
 
   std::size_t batch_size_;
@@ -435,17 +435,18 @@ class ClusterEngine final : public core::StreamJoinEngine {
   struct Worker {
     Worker(std::uint32_t index, std::uint32_t slot, std::uint32_t replica,
            const LinkParams& ingress, const LinkParams& egress,
-           std::size_t batch_size)
-        : index(index), slot(slot), replica(replica), inbox(ingress),
-          outbox(egress), step(batch_size) {}
+           std::size_t batch_size, Doorbell& merger_bell)
+        : index(index), slot(slot), replica(replica), inbox(ingress, &bell),
+          outbox(egress, &merger_bell), step(batch_size) {}
 
     const std::uint32_t index;
     const std::uint32_t slot;
     const std::uint32_t replica;
     // Null for a remote worker, which has neither engine nor thread here.
     std::unique_ptr<core::StreamJoinEngine> engine;
+    Doorbell bell;  // the worker thread parks here; inbox sends ring it
     Link<TupleBatch> inbox;
-    Link<ResultBatch> outbox;
+    Link<ResultBatch> outbox;  // sends ring the merger
     std::thread thread;
 
     // Worker-thread-written; normally published to the main thread by the
@@ -600,6 +601,15 @@ class ClusterEngine final : public core::StreamJoinEngine {
   std::unique_ptr<net::Listener> net_listener_;
   std::vector<std::unique_ptr<net::Connection>> net_dialers_;
   std::vector<net::Connection*> net_acceptors_;
+
+  // The merger parks on merger_bell_ (every outbox send rings it) and the
+  // process() thread's collect_slot on process_bell_, which every thread
+  // that can end that wait rings: the merger when it completes an epoch or
+  // marks a slot died, a worker whose egress is lost, and the supervisor
+  // when a restart turns out unrecoverable. Declared before workers_,
+  // whose outboxes point at merger_bell_.
+  Doorbell merger_bell_;
+  Doorbell process_bell_;
 
   // Grow-only (elastic): retirement never erases entries, so worker
   // indices stay stable. The mutex orders vector growth (add_slot, main

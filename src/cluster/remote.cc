@@ -45,13 +45,12 @@ RemoteWorkerReport serve_worker(const RemoteWorkerOptions& opts) {
     backoff.reset();
     ++rep.batches_in;
     rep.tuples_in += batch.tuples.size();
-    const WorkerStep::Outcome out =
-        step.run(*engine, batch, [&outbox](ResultBatch results) {
-          const auto n = static_cast<std::uint64_t>(results.results.size());
-          return outbox.send(std::move(results), 0.0, n);
-        });
-    HAL_CHECK(out.sent, "remote worker: the coordinator went away");
-    rep.results_out += out.results;
+    rep.results_out += step.process(*engine, batch).results;
+    const bool sent = step.ship(batch, [&outbox](ResultBatch results) {
+      const auto n = static_cast<std::uint64_t>(results.results.size());
+      return outbox.send(std::move(results), 0.0, n);
+    });
+    HAL_CHECK(sent, "remote worker: the coordinator went away");
     if (batch.end_of_epoch) ++rep.epochs;
   }
   rep.net = conn->stats();

@@ -174,11 +174,16 @@ struct LinkStats {
 // A bounded SPSC channel with bandwidth/latency modeling and stall
 // accounting. `now_us` is the caller-supplied cluster clock (microseconds
 // since engine start) so pacing composes with fault-injected extra delay.
+// Every successful send rings `consumer`, the doorbell the consumer thread
+// parks on (null when the consumer runs in another process). On a socket
+// link the ring can beat the frame to the consumer, which then finds
+// nothing, parks again and sees the frame no later than an unrung park
+// would.
 template <typename T>
 class Link {
  public:
-  explicit Link(const LinkParams& params)
-      : params_(params), queue_(params.capacity_batches) {}
+  explicit Link(const LinkParams& params, Doorbell* consumer = nullptr)
+      : params_(params), queue_(params.capacity_batches), consumer_(consumer) {}
 
   // Routes the link through hal::net connections instead of the SPSC
   // queue: the producer end encodes every batch onto `tx`, the consumer
@@ -240,8 +245,7 @@ class Link {
         if (budget.exhausted()) return give_up();
         backoff.pause();
       }
-      consecutive_failures_ = 0;
-      return true;
+      return delivered();
     }
     double busy_us = 0.0;
     if (params_.bandwidth_tps > 0.0 && payload_items > 0) {
@@ -268,8 +272,7 @@ class Link {
       if (budget.exhausted()) return give_up();
       backoff.pause();
     }
-    consecutive_failures_ = 0;
-    return true;
+    return delivered();
   }
 
   // Breaker state (producer-side; the consumer never writes it).
@@ -373,6 +376,14 @@ class Link {
     std::chrono::steady_clock::time_point deadline_;
   };
 
+  // One send got through: the breaker's failure run ends and the consumer
+  // is rung.
+  [[nodiscard]] bool delivered() noexcept {
+    consecutive_failures_ = 0;
+    if (consumer_ != nullptr) consumer_->ring();
+    return true;
+  }
+
   // One send gave up at its budget; trips the breaker after the
   // configured run of consecutive failures.
   [[nodiscard]] bool give_up() {
@@ -403,6 +414,7 @@ class Link {
   SpscQueue<T> queue_;
   net::Connection* net_tx_ = nullptr;  // producer-side net end (or null)
   net::Connection* net_rx_ = nullptr;  // consumer-side net end (or null)
+  Doorbell* consumer_;                 // rung after each send (or null)
   double next_free_us_ = 0.0;  // producer-owned serialization clock
   AtomicLinkStats stats_;
   std::uint32_t consecutive_failures_ = 0;  // producer-owned

@@ -61,6 +61,7 @@ void SplitJoinEngine::process_one(Core& core, std::uint32_t index,
       ResultTuple result{r, s};
       SpinBackoff backoff;  // gatherer backpressure
       while (!core.outbox.try_push(result)) backoff.pause();
+      collector_bell_.ring();
       result_count_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -72,7 +73,8 @@ void SplitJoinEngine::process_one(Core& core, std::uint32_t index,
 
   // The size-1 "batch boundary": this release RMW publishes the relaxed
   // result_count_ add and the window/tally writes above.
-  core.processed.fetch_add(1, std::memory_order_release);
+  ring_caller_if_caught_up(
+      core.processed.fetch_add(1, std::memory_order_release) + 1);
 }
 
 void SplitJoinEngine::process_batch(Core& core, std::uint32_t index,
@@ -145,16 +147,29 @@ void SplitJoinEngine::process_batch(Core& core, std::uint32_t index,
       flush.swap(core.match_buf);
       SpinBackoff backoff;  // gatherer backpressure
       while (!core.batch_outbox.try_push(std::move(flush))) backoff.pause();
+      collector_bell_.ring();
       result_count_.fetch_add(batch_matches, std::memory_order_relaxed);
     }
   }
   // Batch boundary: one release RMW publishes everything above.
-  core.processed.fetch_add(n, std::memory_order_release);
+  ring_caller_if_caught_up(
+      core.processed.fetch_add(n, std::memory_order_release) + n);
+}
+
+// wait_quiescent waits for every core to process every broadcast so far,
+// so a ring before a core has caught up would wake the caller for nothing
+// (on the tuple path, once per tuple). broadcast_count_ counts a broadcast
+// only after it reached every inbox, so a core still behind it has more
+// input queued and rings once it has caught up.
+void SplitJoinEngine::ring_caller_if_caught_up(std::uint64_t processed) {
+  if (processed >= broadcast_count_.load(std::memory_order_acquire)) {
+    caller_bell_.ring();
+  }
 }
 
 void SplitJoinEngine::core_loop(std::uint32_t index) {
   Core& core = *cores_[index];
-  SpinBackoff backoff;
+  SpinBackoff backoff(core.bell);
   while (true) {
     bool did_work = false;
     BatchPtr batch;
@@ -177,7 +192,7 @@ void SplitJoinEngine::core_loop(std::uint32_t index) {
 }
 
 void SplitJoinEngine::collector_loop() {
-  SpinBackoff backoff;
+  SpinBackoff backoff(collector_bell_);
   while (true) {
     std::size_t drained = 0;
     for (auto& core : cores_) {
@@ -198,6 +213,7 @@ void SplitJoinEngine::collector_loop() {
         // One release add per drained core: publishes the collected_
         // appends to whoever acquires collected_count_ (wait_quiescent).
         collected_count_.fetch_add(from_core, std::memory_order_release);
+        caller_bell_.ring();
         drained += from_core;
       }
     }
@@ -214,6 +230,7 @@ void SplitJoinEngine::broadcast(const Tuple& t) {
   for (auto& core : cores_) {
     SpinBackoff backoff;
     while (!core->inbox.try_push(t)) backoff.pause();
+    core->bell.ring();
   }
   broadcast_count_.fetch_add(1, std::memory_order_release);
 }
@@ -223,6 +240,7 @@ void SplitJoinEngine::broadcast_batch(const BatchPtr& batch) {
     SpinBackoff backoff;
     BatchPtr copy = batch;  // refcount bump, not a data copy
     while (!core->batch_inbox.try_push(std::move(copy))) backoff.pause();
+    core->bell.ring();
   }
   broadcast_count_.fetch_add(batch->size(), std::memory_order_release);
 }
@@ -243,7 +261,7 @@ void SplitJoinEngine::broadcast_batch(const BatchPtr& batch) {
 // the contract is visible to TSan, which does not model bare fences.
 void SplitJoinEngine::wait_quiescent() {
   const std::uint64_t target = broadcast_count_.load(std::memory_order_acquire);
-  SpinBackoff backoff;
+  SpinBackoff backoff(caller_bell_);
   for (auto& core : cores_) {
     while (core->processed.load(std::memory_order_acquire) < target) {
       backoff.pause();
@@ -383,6 +401,16 @@ void SplitJoinEngine::collect_metrics(obs::MetricRegistry& registry,
                        broadcast_count_.load(std::memory_order_acquire));
   registry.set_counter(prefix + "results",
                        collected_count_.load(std::memory_order_acquire));
+  std::uint64_t parks = collector_bell_.parks() + caller_bell_.parks();
+  std::uint64_t park_timeouts =
+      collector_bell_.park_timeouts() + caller_bell_.park_timeouts();
+  for (const auto& core : cores_) {
+    parks += core->bell.parks();
+    park_timeouts += core->bell.park_timeouts();
+  }
+  registry.set_counter(prefix + "parks", parks, obs::Stability::kRuntime);
+  registry.set_counter(prefix + "park_timeouts", park_timeouts,
+                       obs::Stability::kRuntime);
 }
 
 double SplitJoinEngine::measure_tuple_latency_seconds(const Tuple& t) {

@@ -11,7 +11,11 @@
 // thread plays the result gathering network, draining the outboxes.
 //
 // Communication uses bounded lock-free SPSC rings, the software analogue
-// of the hardware FIFO links. The sliding window lives in ordinary heap
+// of the hardware FIFO links. Each hand-off rings the receiving thread's
+// doorbell (common/backoff.h): a broadcast rings every core, a core's
+// outbox push rings the collector, and a core that has caught up with
+// every broadcast and the collector's collected count ring the caller,
+// so a thread parked in an idle stretch wakes when its input lands. The sliding window lives in ordinary heap
 // memory — the paper's point that the software variant pays main-memory
 // traffic for every probe while the FPGA couples each sub-window to its
 // core's BRAM.
@@ -35,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/backoff.h"
 #include "common/spsc_queue.h"
 #include "common/stats.h"
 #include "core/window_image.h"
@@ -124,8 +129,9 @@ class SplitJoinEngine {
 
   // Publishes per-core probe/match counters (deterministic: every core
   // scans its full sub-window for every tuple regardless of thread
-  // timing) and inbox-depth high-water marks (runtime: they depend on
-  // scheduling races). Call only while the engine is idle.
+  // timing), inbox-depth high-water marks and the parks of every core,
+  // collector and caller wait (runtime: they depend on scheduling races).
+  // Call only while the engine is idle.
   void collect_metrics(obs::MetricRegistry& registry,
                        const std::string& prefix) const;
 
@@ -155,12 +161,14 @@ class SplitJoinEngine {
     std::uint64_t matches = 0;
     std::size_t inbox_high_water = 0;
     alignas(kCacheLineSize) std::atomic<std::uint64_t> processed{0};
+    alignas(kCacheLineSize) Doorbell bell;  // broadcasts ring the core
   };
 
   void core_loop(std::uint32_t index);
   void process_one(Core& core, std::uint32_t index, const stream::Tuple& t);
   void process_batch(Core& core, std::uint32_t index,
                      const stream::TupleBatch& batch);
+  void ring_caller_if_caught_up(std::uint64_t processed);
   void collector_loop();
   void broadcast(const stream::Tuple& t);
   void broadcast_batch(const BatchPtr& batch);
@@ -179,6 +187,8 @@ class SplitJoinEngine {
   std::atomic<std::uint64_t> collected_count_{0};
   std::vector<stream::ResultTuple> collected_;  // collector-thread-owned
                                                 // while running
+  Doorbell collector_bell_;  // outbox pushes ring the collector
+  Doorbell caller_bell_;     // processed and collected adds ring the caller
 };
 
 }  // namespace hal::sw

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <span>
+#include <thread>
 
 #include "cluster/cluster_engine.h"
 #include "common/rng.h"
@@ -419,6 +422,48 @@ TEST(ClusterEngine, ExactGlobalTrackerStateStaysWindowBounded) {
     ASSERT_LE(retained->gauge_value,
               static_cast<double>(2 * cfg.window_size));
   }
+}
+
+// The park counters of the cluster's own waits and of its SplitJoin
+// workers' engines are exported, and an idle gap between epochs adds
+// parks: every waiter escalates to its doorbell within the gap.
+TEST(ClusterEngine, ParkCountersRiseAcrossAnIdleGap) {
+  ClusterConfig cfg = base_config();
+  cfg.partitioning = Partitioning::kKeyHash;
+  cfg.shards = 2;
+  ClusterEngine engine(cfg);
+  const auto tuples = workload(128, 7);
+  // {cluster.parks, worker 0's engine parks}; all four counters must be
+  // exported as runtime metrics.
+  const auto parks = [&engine] {
+    obs::MetricRegistry reg;
+    engine.collect_metrics(reg, "cluster.");
+    const obs::ObsSnapshot snap = reg.snapshot("parks");
+    const auto count = [&snap](const char* name) -> std::uint64_t {
+      const auto* m = snap.find(name);
+      EXPECT_NE(m, nullptr) << name;
+      if (m == nullptr) return 0;
+      EXPECT_EQ(m->stability, obs::Stability::kRuntime) << name;
+      return m->counter_value;
+    };
+    (void)count("cluster.park_timeouts");
+    (void)count("cluster.worker.0.engine.park_timeouts");
+    return std::array{count("cluster.parks"),
+                      count("cluster.worker.0.engine.parks")};
+  };
+  engine.process({tuples.begin(), tuples.begin() + 64});
+  const auto before = parks();
+  // 5 ms of idle. On a loaded host a waiter can still be in its yield
+  // phase by then, so the gap stretches until both show a park (2 s cap).
+  auto after = before;
+  for (int i = 0; i < 400 && (after[0] == before[0] || after[1] == before[1]);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    after = parks();
+  }
+  EXPECT_GT(after[0], before[0]) << "cluster.parks";
+  EXPECT_GT(after[1], before[1]) << "worker engine parks";
+  engine.process({tuples.begin() + 64, tuples.end()});
 }
 
 // Exact-global workers keep their arrivals' horizons for the current

@@ -1,9 +1,11 @@
-// Idle-burn regression test: a software engine with no input pending must
-// not spin its worker threads at 100% CPU. The spin-then-backoff waiters
-// (common/backoff.h) park idle loops in short absolute sleeps, so an idle
-// engine's whole process should accumulate well under 5% of one core per
-// worker thread — measured here over a 100 ms quiet interval via
-// CLOCK_PROCESS_CPUTIME_ID.
+// Idle-burn regression test: a software engine or cluster with no input
+// pending must not spin its threads at 100% CPU. The spin-then-park
+// waiters (common/backoff.h) park idle loops for short quanta on their
+// doorbells, so an idle engine's whole process should accumulate well
+// under 5% of one core per worker thread — measured here over a 100 ms
+// quiet interval via CLOCK_PROCESS_CPUTIME_ID. A park that returned at
+// once on a count that moved before it (a stale count) would busy-loop
+// and fail these.
 //
 // Wall-clock-vs-cpu-clock ratio tests are load sensitive: these run
 // RUN_SERIAL (see tests/CMakeLists.txt) and are skipped under sanitizers,
@@ -13,6 +15,7 @@
 #include <ctime>
 #include <thread>
 
+#include "cluster/cluster_engine.h"
 #include "stream/generator.h"
 #include "sw/batch_join.h"
 #include "sw/handshake_join.h"
@@ -82,6 +85,26 @@ TEST(IdleCpu, BatchJoinEngineIdlesQuietly) {
   cfg.batch_size = 64;
   BatchJoinEngine engine(cfg, stream::JoinSpec::equi_on_key());
   expect_idle(cfg.num_workers, [&] { engine.process(small_workload()); });
+}
+
+TEST(IdleCpu, ClusterEngineIdlesQuietly) {
+  for (const net::TransportKind links :
+       {net::TransportKind::kInProcess, net::TransportKind::kLoopback}) {
+    SCOPED_TRACE(net::to_string(links));
+    cluster::ClusterConfig cfg;
+    cfg.partitioning = cluster::Partitioning::kKeyHash;
+    cfg.shards = 2;
+    cfg.window_mode = cluster::WindowMode::kExactGlobal;
+    cfg.window_size = 256;
+    cfg.worker.backend = core::Backend::kSwSplitJoin;
+    cfg.worker.num_cores = 1;
+    cfg.worker.dispatch_batch = 64;
+    cfg.transport.batch_size = 64;
+    cfg.transport.link_transport = links;
+    cluster::ClusterEngine engine(cfg);
+    // 2 workers, their engines' 2 cores and 2 collectors, and the merger.
+    expect_idle(7, [&] { engine.process(small_workload()); });
+  }
 }
 
 }  // namespace
