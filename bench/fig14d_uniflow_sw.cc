@@ -25,7 +25,11 @@
 // (BENCH_fig14d.json) reports per-core scaling efficiency
 // mtps(cores) / (cores · mtps(1)) — on an oversubscribed host this is
 // far below 1 and that is the point: it quantifies how much of the
-// paper's separation the host can express.
+// paper's separation the host can express. The 1-core baseline runs
+// inline on the bench's thread, with no distribution or gathering
+// hand-offs (sw/splitjoin.h), so the efficiency also charges the
+// multi-core engine for those networks: it reads lower than against a
+// threaded 1-core engine, not because the multi-core engine got slower.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

@@ -18,6 +18,43 @@ using stream::ResultTuple;
 using stream::StreamId;
 using stream::Tuple;
 
+namespace {
+
+// Watches a worker's ingress link while collect_slot waits on that
+// worker's epoch. A partition can swallow an epoch's last batches after
+// their sends succeeded, leaving no send to run out of its budget; the
+// link then holds them undelivered. stalled() turns true once the link
+// has held undelivered batches for longer than its send budget without
+// delivering any of them. It never does on a link whose batches were all
+// delivered, nor on an unbudgeted one.
+class DeliveryWatch {
+ public:
+  explicit DeliveryWatch(const Link<TupleBatch>& link)
+      : link_(link),
+        budget_(std::chrono::duration<double, std::micro>(
+            link.params().send_budget_us)) {}
+
+  [[nodiscard]] bool stalled() {
+    if (budget_.count() <= 0.0) return false;
+    const std::uint64_t backlog = link_.undelivered();
+    const auto now = std::chrono::steady_clock::now();
+    if (backlog == 0 || backlog < backlog_) {  // all delivered, or progress
+      backlog_ = backlog;
+      since_ = now;
+      return false;
+    }
+    return now - since_ > budget_;
+  }
+
+ private:
+  const Link<TupleBatch>& link_;
+  const std::chrono::duration<double, std::micro> budget_;
+  std::uint64_t backlog_ = std::numeric_limits<std::uint64_t>::max();
+  std::chrono::steady_clock::time_point since_;
+};
+
+}  // namespace
+
 bool key_hashable(const stream::JoinSpec& spec) {
   for (const auto& c : spec.conjuncts()) {
     if (c.lhs == stream::Field::Key && c.rhs == stream::Field::Key &&
@@ -755,18 +792,23 @@ void ClusterEngine::collect_slot(std::uint32_t slot,
   SpinBackoff backoff(process_bell_);
   for (std::uint32_t rep = 0; rep < cfg_.replicas; ++rep) {
     MergeSlot& m = *merge_[base + rep];
-    if (cfg_.recovery.supervise) {
-      // A supervised worker's epoch still completes — after the restart,
-      // restore and replay — so death is not a reason to stop waiting
-      // unless recovery itself declared the worker unrecoverable.
-      Worker& w = *workers_[base + rep];
-      while (m.completed_epoch.load(std::memory_order_acquire) < epoch_ &&
-             !w.unrecoverable.load(std::memory_order_acquire)) {
-        backoff.pause();
-      }
-    } else {
-      while (m.completed_epoch.load(std::memory_order_acquire) < epoch_ &&
-             !m.died.load(std::memory_order_acquire)) {
+    Worker& w = *workers_[base + rep];
+    // A supervised worker's epoch still completes — after the restart,
+    // restore and replay — so death is not a reason to stop waiting
+    // unless recovery itself declared the worker unrecoverable.
+    const auto gone = [&] {
+      return cfg_.recovery.supervise
+                 ? w.unrecoverable.load(std::memory_order_acquire)
+                 : m.died.load(std::memory_order_acquire);
+    };
+    DeliveryWatch ingress(w.inbox);
+    while (m.completed_epoch.load(std::memory_order_acquire) < epoch_ &&
+           !gone()) {
+      if (ingress.stalled()) {
+        // Ends the wait: abandon_worker marks the worker gone.
+        w.inbox.give_up_delivery();
+        abandon_worker(w.index);
+      } else {
         backoff.pause();
       }
     }

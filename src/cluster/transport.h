@@ -278,6 +278,17 @@ class Link {
   // Breaker state (producer-side; the consumer never writes it).
   [[nodiscard]] bool breaker_open() const noexcept { return breaker_open_; }
 
+  // Batches sent that the consumer end has not taken delivery of: still
+  // queued on an SPSC link, unacknowledged on a net link. Takes no lock.
+  [[nodiscard]] std::uint64_t undelivered() const {
+    return net_tx_ != nullptr ? net_tx_->unacked() : queue_.size_approx();
+  }
+
+  // The producer stopped waiting on batches the consumer never took
+  // delivery of (undelivered() stalled for the send budget): counted, and
+  // tripping the breaker, like a send that ran out of its budget.
+  void give_up_delivery() { (void)give_up(); }
+
   [[nodiscard]] bool try_recv(T& out) {
     if (net_rx_ != nullptr) return net_try_recv(*net_rx_, out);
     return queue_.try_pop(out);

@@ -184,9 +184,7 @@ class SwSplitJoinAdapter final : public StreamJoinEngine {
   }
 
   std::vector<ResultTuple> take_results() override {
-    auto out = engine_->results();
-    engine_->clear_results();
-    return out;
+    return engine_->take_results();
   }
 
   bool snapshot(WindowImage& out) override {
@@ -327,9 +325,7 @@ class SwBatchAdapter final : public StreamJoinEngine {
   }
 
   std::vector<ResultTuple> take_results() override {
-    auto out = engine_->results();
-    engine_->clear_results();
-    return out;
+    return engine_->take_results();
   }
 
   bool snapshot(WindowImage& out) override {

@@ -5,6 +5,7 @@
 // minus the socket. Delivery is trivially reliable and in-order; the
 // credit window is still enforced so backpressure behavior (and its
 // stall accounting) matches the socket transports.
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <map>
@@ -23,7 +24,7 @@ namespace {
 }
 
 // One direction of a loopback connection. The sender encodes into the
-// pipe; the receiver decodes out of it. `consumed` drives the credit
+// pipe; the receiver decodes out of it. `in_flight` drives the credit
 // window: the sender may hold at most `window` undelivered data frames.
 struct LoopbackPipe {
   explicit LoopbackPipe(std::size_t window) : window(window) {}
@@ -31,8 +32,10 @@ struct LoopbackPipe {
   std::mutex mu;
   std::deque<Frame> frames;
   const std::size_t window;
-  std::uint64_t next_seq = 1;   // sender-assigned data sequence
-  std::uint64_t consumed = 0;   // data frames popped by the receiver
+  std::uint64_t next_seq = 1;  // sender-assigned data sequence
+  // Data frames sent and not yet popped by the receiver. Written under
+  // `mu`; an atomic so unacked() reads it without the lock.
+  std::atomic<std::uint64_t> in_flight{0};
   bool closed = false;
 };
 
@@ -52,11 +55,12 @@ class LoopbackConnection final : public Connection {
     }
     std::uint64_t seq = 0;
     if (is_data(type)) {
-      if (tx_->next_seq > tx_->consumed + tx_->window) {
+      if (tx_->in_flight.load(std::memory_order_relaxed) >= tx_->window) {
         ++stats_.credit_stalls;
         return false;
       }
       seq = tx_->next_seq++;
+      tx_->in_flight.fetch_add(1, std::memory_order_relaxed);
     }
     // Full codec round trip: encode the frame, then decode it on the spot
     // into the peer's inbox. A loopback message that survives is exactly
@@ -88,7 +92,7 @@ class LoopbackConnection final : public Connection {
         continue;
       }
       if (is_data(frame.header.type)) {
-        ++rx_->consumed;
+        rx_->in_flight.fetch_sub(1, std::memory_order_relaxed);
         ++stats_.msgs_delivered;
         out = std::move(frame);
         return true;
@@ -107,6 +111,10 @@ class LoopbackConnection final : public Connection {
   [[nodiscard]] bool peer_closed() const override {
     std::scoped_lock lock(rx_->mu);
     return rx_->closed && rx_->frames.empty();
+  }
+
+  [[nodiscard]] std::uint64_t unacked() const override {
+    return tx_->in_flight.load(std::memory_order_relaxed);
   }
 
   void close() override {

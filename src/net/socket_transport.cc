@@ -216,6 +216,7 @@ class SocketConnection final : public Connection {
         append_frame(wire, type, seq, payload);
         if (retransmit_.empty()) last_ack_progress_ms_ = now_ms();
         retransmit_.push_back({seq, wire});
+        publish_unacked_locked();
         pending_.push_back({seq, std::move(wire), true});
         ++stats_.msgs_sent;
       } else {
@@ -251,6 +252,10 @@ class SocketConnection final : public Connection {
   [[nodiscard]] bool peer_closed() const override {
     std::scoped_lock lock(mu_);
     return (peer_closed_ || gave_up_) && inbox_.empty();
+  }
+
+  [[nodiscard]] std::uint64_t unacked() const override {
+    return unacked_.load(std::memory_order_relaxed);
   }
 
   void close() override {
@@ -339,7 +344,14 @@ class SocketConnection final : public Connection {
         if (fd_ == fd) reset_link_locked();
         return;
       }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        // The burst is read: acknowledge its tail at once, so the sender
+        // holds no delivered frame as unacked (Connection::unacked) until
+        // the next burst or its stall watchdog.
+        std::scoped_lock lock(mu_);
+        if (fd_ == fd) ack_received_locked();
+        return;
+      }
       if (errno == EINTR) continue;
       std::scoped_lock lock(mu_);
       if (fd_ == fd) reset_link_locked();
@@ -406,6 +418,11 @@ class SocketConnection final : public Connection {
     }
   }
 
+  // Mirrors the retransmit backlog into unacked_ after every change to it.
+  void publish_unacked_locked() {
+    unacked_.store(retransmit_.size(), std::memory_order_relaxed);
+  }
+
   void queue_control_locked(MsgType type, std::vector<std::uint8_t> payload) {
     std::vector<std::uint8_t> wire;
     append_frame(wire, type, 0, payload);
@@ -431,6 +448,7 @@ class SocketConnection final : public Connection {
            retransmit_.front().seq < hello.resume_seq) {
       retransmit_.pop_front();
     }
+    publish_unacked_locked();
     for (const RetransmitEntry& e : retransmit_) {
       pending_.push_back({e.seq, e.wire, true});
       ++stats_.retransmits;
@@ -516,6 +534,7 @@ class SocketConnection final : public Connection {
                  retransmit_.front().seq <= ack.cumulative_seq) {
             retransmit_.pop_front();
           }
+          publish_unacked_locked();
         }
         return true;
       }
@@ -546,14 +565,20 @@ class SocketConnection final : public Connection {
                 ? static_cast<std::uint64_t>(opts_.window_frames) / 4
                 : 1;
         if (barrier || expected_seq_ - 1 - last_acked_ >= ack_every) {
-          last_acked_ = expected_seq_ - 1;
-          queue_control_locked(MsgType::kAck, encode(AckMsg{last_acked_}));
-          ++stats_.acks_sent;
+          ack_received_locked();
         }
         return true;
       }
     }
     return true;  // unreachable: decoder validated the type
+  }
+
+  // Acknowledges every data frame received so far, unless already done.
+  void ack_received_locked() {
+    if (expected_seq_ - 1 == last_acked_) return;
+    last_acked_ = expected_seq_ - 1;
+    queue_control_locked(MsgType::kAck, encode(AckMsg{last_acked_}));
+    ++stats_.acks_sent;
   }
 
   void reset_link_locked() {
@@ -744,6 +769,7 @@ class SocketConnection final : public Connection {
   std::deque<PendingFrame> pending_;
   std::vector<std::uint8_t> out_wire_;
   std::deque<RetransmitEntry> retransmit_;
+  std::atomic<std::uint64_t> unacked_{0};  // retransmit_.size(), lock-free
   std::deque<Frame> inbox_;
 
   std::uint64_t next_seq_ = 1;      // sender: next data seq to assign

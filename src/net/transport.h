@@ -116,6 +116,10 @@ class Connection {
   [[nodiscard]] virtual bool connected() const = 0;
   // Peer sent an orderly shutdown (or is known to be permanently gone).
   [[nodiscard]] virtual bool peer_closed() const = 0;
+  // Data messages accepted by try_send that the peer has not acknowledged
+  // yet (the retransmit backlog): what a partition may be holding. Takes
+  // no lock, so a waiter may poll it on every spin.
+  [[nodiscard]] virtual std::uint64_t unacked() const = 0;
   // Orderly teardown: flush, send kShutdown, stop reconnecting.
   virtual void close() = 0;
 

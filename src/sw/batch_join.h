@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/spsc_queue.h"
@@ -77,6 +78,10 @@ class BatchJoinEngine {
     return results_;
   }
   void clear_results() { results_.clear(); }
+  // Moves the results out (results() is empty afterwards).
+  [[nodiscard]] std::vector<stream::ResultTuple> take_results() {
+    return std::exchange(results_, {});
+  }
   [[nodiscard]] double last_kernel_seconds() const {
     return last_kernel_seconds_;
   }

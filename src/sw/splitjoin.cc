@@ -23,12 +23,16 @@ SplitJoinEngine::SplitJoinEngine(SplitJoinConfig cfg, stream::JoinSpec spec)
   HAL_CHECK(cfg_.window_size % cfg_.num_cores == 0,
             "window_size must be a multiple of num_cores");
   pure_key_equi_ = spec_.is_pure_key_equi();
+  inline_ = cfg_.num_cores == 1;
   const std::size_t sub_window = cfg_.window_size / cfg_.num_cores;
+  // An inline core's queues never carry anything.
+  const std::size_t queue_capacity = inline_ ? 1 : cfg_.queue_capacity;
   cores_.reserve(cfg_.num_cores);
   for (std::uint32_t i = 0; i < cfg_.num_cores; ++i) {
     cores_.push_back(
-        std::make_unique<Core>(sub_window, cfg_.queue_capacity, cfg_.probe));
+        std::make_unique<Core>(sub_window, queue_capacity, cfg_.probe));
   }
+  if (inline_) return;
   threads_.reserve(cfg_.num_cores);
   for (std::uint32_t i = 0; i < cfg_.num_cores; ++i) {
     threads_.emplace_back([this, i] { core_loop(i); });
@@ -39,7 +43,7 @@ SplitJoinEngine::SplitJoinEngine(SplitJoinConfig cfg, stream::JoinSpec spec)
 SplitJoinEngine::~SplitJoinEngine() {
   stop_.store(true, std::memory_order_release);
   for (auto& t : threads_) t.join();
-  collector_.join();
+  if (collector_.joinable()) collector_.join();
 }
 
 void SplitJoinEngine::process_one(Core& core, std::uint32_t index,
@@ -58,11 +62,15 @@ void SplitJoinEngine::process_one(Core& core, std::uint32_t index,
     const Tuple& s = is_r ? candidate : t;
     if (spec_.matches(r, s)) {
       ++core.matches;
-      ResultTuple result{r, s};
-      SpinBackoff backoff;  // gatherer backpressure
-      while (!core.outbox.try_push(result)) backoff.pause();
-      collector_bell_.ring();
-      result_count_.fetch_add(1, std::memory_order_relaxed);
+      const ResultTuple result{r, s};
+      if (inline_) {
+        settle({&result, 1}, 1);
+      } else {
+        SpinBackoff backoff;  // gatherer backpressure
+        while (!core.outbox.try_push(result)) backoff.pause();
+        collector_bell_.ring();
+        result_count_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   }
   // Store: round-robin turn counting, identical to the Storage Core.
@@ -138,10 +146,11 @@ void SplitJoinEngine::process_batch(Core& core, std::uint32_t index,
   // In count-only mode the collector is bypassed entirely — the core
   // settles both counters itself (they are multi-producer atomics; the
   // "collector-owned" convention only applies to the materializing path).
+  // An inline core settles its matches too: it runs on the caller's
+  // thread, which owns collected_.
   if (batch_matches > 0) {
-    if (count_only) {
-      result_count_.fetch_add(batch_matches, std::memory_order_relaxed);
-      collected_count_.fetch_add(batch_matches, std::memory_order_relaxed);
+    if (count_only || inline_) {
+      settle(core.match_buf, batch_matches);
     } else {
       std::vector<ResultTuple> flush;
       flush.swap(core.match_buf);
@@ -154,6 +163,15 @@ void SplitJoinEngine::process_batch(Core& core, std::uint32_t index,
   // Batch boundary: one release RMW publishes everything above.
   ring_caller_if_caught_up(
       core.processed.fetch_add(n, std::memory_order_release) + n);
+}
+
+void SplitJoinEngine::settle(std::span<const ResultTuple> results,
+                             std::uint64_t n) {
+  if (cfg_.collect_results) {
+    collected_.insert(collected_.end(), results.begin(), results.end());
+  }
+  result_count_.fetch_add(n, std::memory_order_relaxed);
+  collected_count_.fetch_add(n, std::memory_order_relaxed);
 }
 
 // wait_quiescent waits for every core to process every broadcast so far,
@@ -227,6 +245,11 @@ void SplitJoinEngine::collector_loop() {
 }
 
 void SplitJoinEngine::broadcast(const Tuple& t) {
+  if (inline_) {
+    broadcast_count_.fetch_add(1, std::memory_order_relaxed);
+    process_one(*cores_[0], 0, t);
+    return;
+  }
   for (auto& core : cores_) {
     SpinBackoff backoff;
     while (!core->inbox.try_push(t)) backoff.pause();
@@ -236,6 +259,11 @@ void SplitJoinEngine::broadcast(const Tuple& t) {
 }
 
 void SplitJoinEngine::broadcast_batch(const BatchPtr& batch) {
+  if (inline_) {
+    broadcast_count_.fetch_add(batch->size(), std::memory_order_relaxed);
+    process_batch(*cores_[0], 0, *batch);
+    return;
+  }
   for (auto& core : cores_) {
     SpinBackoff backoff;
     BatchPtr copy = batch;  // refcount bump, not a data copy

@@ -15,10 +15,16 @@
 // doorbell (common/backoff.h): a broadcast rings every core, a core's
 // outbox push rings the collector, and a core that has caught up with
 // every broadcast and the collector's collected count ring the caller,
-// so a thread parked in an idle stretch wakes when its input lands. The sliding window lives in ordinary heap
-// memory — the paper's point that the software variant pays main-memory
-// traffic for every probe while the FPGA couples each sub-window to its
-// core's BRAM.
+// so a thread parked in an idle stretch wakes when its input lands. The
+// sliding window lives in ordinary heap memory — the paper's point that
+// the software variant pays main-memory traffic for every probe while the
+// FPGA couples each sub-window to its core's BRAM.
+//
+// A 1-core engine has nothing to distribute or gather, so it has no
+// distribution, core or collector threads: the caller's thread runs core
+// 0's probe loop itself and settles its matches straight into the
+// collected results. Every call blocks as before, and the results and the
+// deterministic metrics are the same as a core thread's.
 //
 // Two data paths share the engine:
 //   - tuple-at-a-time (`process`): one SPSC push per core per tuple, one
@@ -36,7 +42,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/backoff.h"
@@ -122,6 +130,10 @@ class SplitJoinEngine {
     return collected_;
   }
   void clear_results() { collected_.clear(); }
+  // Moves the collected results out (results() is empty afterwards).
+  [[nodiscard]] std::vector<stream::ResultTuple> take_results() {
+    return std::exchange(collected_, {});
+  }
   [[nodiscard]] std::uint64_t result_count() const {
     return result_count_.load(std::memory_order_acquire);
   }
@@ -168,6 +180,10 @@ class SplitJoinEngine {
   void process_one(Core& core, std::uint32_t index, const stream::Tuple& t);
   void process_batch(Core& core, std::uint32_t index,
                      const stream::TupleBatch& batch);
+  // Where no collector takes them (an inline core, or count-only batches):
+  // adds `n` matches to both result counters and, when collecting, appends
+  // `results` to collected_.
+  void settle(std::span<const stream::ResultTuple> results, std::uint64_t n);
   void ring_caller_if_caught_up(std::uint64_t processed);
   void collector_loop();
   void broadcast(const stream::Tuple& t);
@@ -177,6 +193,7 @@ class SplitJoinEngine {
   SplitJoinConfig cfg_;
   stream::JoinSpec spec_;
   bool pure_key_equi_ = false;  // fixed at construction; spec_ is immutable
+  bool inline_ = false;         // one core, run on the caller's thread
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<std::thread> threads_;
   std::thread collector_;
@@ -185,8 +202,8 @@ class SplitJoinEngine {
   std::atomic<std::uint64_t> broadcast_count_{0};
   std::atomic<std::uint64_t> result_count_{0};
   std::atomic<std::uint64_t> collected_count_{0};
-  std::vector<stream::ResultTuple> collected_;  // collector-thread-owned
-                                                // while running
+  // Collector-thread-owned while running; the caller's when inline_.
+  std::vector<stream::ResultTuple> collected_;
   Doorbell collector_bell_;  // outbox pushes ring the collector
   Doorbell caller_bell_;     // processed and collected adds ring the caller
 };

@@ -426,11 +426,14 @@ TEST(ClusterEngine, ExactGlobalTrackerStateStaysWindowBounded) {
 
 // The park counters of the cluster's own waits and of its SplitJoin
 // workers' engines are exported, and an idle gap between epochs adds
-// parks: every waiter escalates to its doorbell within the gap.
+// parks: every waiter escalates to its doorbell within the gap. The
+// workers get two cores each: a 1-core engine runs on its worker's
+// thread and never waits, so it has no parks to count.
 TEST(ClusterEngine, ParkCountersRiseAcrossAnIdleGap) {
   ClusterConfig cfg = base_config();
   cfg.partitioning = Partitioning::kKeyHash;
   cfg.shards = 2;
+  cfg.worker.num_cores = 2;
   ClusterEngine engine(cfg);
   const auto tuples = workload(128, 7);
   // {cluster.parks, worker 0's engine parks}; all four counters must be

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -342,6 +343,77 @@ TEST(BreakerFailover, NoReplicaDegradesCleanlyInsteadOfWedging) {
   // The surviving shard's keys still join exactly: the output is a
   // sub-multiset of the oracle, never an invention. normalize() returns
   // sorted (r_seq, s_seq) pairs, so std::includes checks containment.
+  ReferenceJoin oracle(cfg.window_size, cfg.spec);
+  const auto expected = normalize(oracle.process_all(all));
+  const auto produced = normalize(got);
+  EXPECT_LT(produced.size(), expected.size());
+  EXPECT_TRUE(std::includes(expected.begin(), expected.end(),
+                            produced.begin(), produced.end()));
+}
+
+// One ingress frame per worker per epoch, and a partition that swallows
+// epoch 3's: the router's send of it succeeded before the partition cut
+// the link, so no send is left to run out of its budget. The collect wait
+// sees the frame sit undelivered past the budget and abandons the worker
+// instead of waiting out the 3 s partition.
+ClusterConfig partition_after_only_frame(std::uint32_t replicas) {
+  ClusterConfig cfg = base_config(2);
+  cfg.replicas = replicas;
+  cfg.transport.batch_size = 1024;  // each epoch is one end-of-epoch frame
+  cfg.transport.link_transport = net::TransportKind::kTcp;
+  cfg.transport.net_window_frames = 4;
+  cfg.transport.ingress.send_budget_us = 100000.0;  // margin: see above
+  cfg.transport.ingress.breaker_trip_failures = 1;
+  cfg.transport.net_fault.partition_after_frames = 2;
+  cfg.transport.net_fault.partition_seconds = 3.0;
+  cfg.transport.net_fault_workers = {0};
+  return cfg;
+}
+
+// Runs `all` as six epochs; each process() must return well before the
+// partition heals.
+std::vector<stream::ResultTuple> run_six_epochs(ClusterEngine& engine,
+                                                const std::vector<Tuple>& all) {
+  std::vector<stream::ResultTuple> got;
+  for (const auto& chunk : chunked(all, 6)) {
+    const auto start = std::chrono::steady_clock::now();
+    (void)engine.process(chunk);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_LT(took.count(), 1.0) << "process() waited for the partition";
+    auto r = engine.take_results();
+    got.insert(got.end(), r.begin(), r.end());
+  }
+  return got;
+}
+
+TEST(BreakerFailover, PartitionAfterAnEpochsOnlyFrameFailsOverToReplica) {
+  const ClusterConfig cfg = partition_after_only_frame(2);
+  const auto all = workload(600, 61);
+  ClusterEngine engine(cfg);
+  const auto got = run_six_epochs(engine, all);
+  ReferenceJoin oracle(cfg.window_size, cfg.spec);
+  EXPECT_EQ(normalize(got), normalize(oracle.process_all(all)));
+
+  const ClusterReport rep = engine.report();
+  EXPECT_GE(rep.budget_exhausted, 1u);
+  EXPECT_GE(rep.breaker_trips, 1u);
+  EXPECT_GE(rep.failovers, 1u);
+  EXPECT_FALSE(rep.degraded);
+  EXPECT_EQ(rep.lost_tuples, 0u);
+}
+
+TEST(BreakerFailover, PartitionAfterAnEpochsOnlyFrameDegradesCleanly) {
+  const ClusterConfig cfg = partition_after_only_frame(1);
+  const auto all = workload(600, 67);
+  ClusterEngine engine(cfg);
+  const auto got = run_six_epochs(engine, all);
+
+  const ClusterReport rep = engine.report();
+  EXPECT_GE(rep.budget_exhausted, 1u);
+  EXPECT_GE(rep.breaker_trips, 1u);
+  EXPECT_TRUE(rep.degraded);
+  EXPECT_GT(rep.lost_tuples, 0u);
   ReferenceJoin oracle(cfg.window_size, cfg.spec);
   const auto expected = normalize(oracle.process_all(all));
   const auto produced = normalize(got);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -118,9 +119,11 @@ TEST(LoopbackTransport, CreditWindowStallsSenderUntilDrained) {
   // Window exhausted: the refusal is backpressure, not loss.
   EXPECT_FALSE(dialer->try_send(MsgType::kWatermark, payload));
   EXPECT_GE(dialer->stats().credit_stalls, 1u);
+  EXPECT_EQ(dialer->unacked(), 4u);  // loopback delivery is the pop
 
   Frame frame;
   ASSERT_TRUE(acceptor->try_recv(frame));
+  EXPECT_EQ(dialer->unacked(), 3u);
   EXPECT_TRUE(dialer->try_send(MsgType::kWatermark, payload));
 }
 
@@ -250,6 +253,41 @@ INSTANTIATE_TEST_SUITE_P(
                    .partition_seconds = 0.01},
                   false}),
     [](const auto& info) { return std::string(info.param.name); });
+
+// The receiver acknowledges a burst's tail once it has read the burst, not
+// only every window/4 frames, so the sender holds no delivered frame as
+// unacked and a link that idles after a short burst never trips its stall
+// watchdog.
+TEST(SocketTransport, DeliveredTailIsAcknowledgedAtOnce) {
+  auto transport = make_transport(TransportKind::kUnix);
+  EndpointOptions opts;
+  opts.window_frames = 64;  // in-burst acks every 16 frames
+  opts.stall_timeout_ms = 50.0;
+  auto listener = transport->listen(fresh_address(TransportKind::kUnix),
+                                    opts);
+  auto dialer = transport->connect(listener->address(), opts);
+  Connection* acceptor = listener->accept(10.0);
+  ASSERT_NE(acceptor, nullptr);
+
+  // Tuple batches: unlike watermarks, they ask for no ack of their own.
+  const std::vector<std::uint8_t> payload = encode(TupleBatchMsg{});
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(dialer->send(MsgType::kTupleBatch, payload, 10.0)) << i;
+  }
+  for (int i = 0; i < 3; ++i) {
+    Frame frame;
+    ASSERT_TRUE(acceptor->recv(frame, 10.0)) << i;
+  }
+  Timer timer;
+  while (dialer->unacked() != 0 && timer.elapsed_seconds() < 10.0) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(dialer->unacked(), 0u);
+  // Three stall timeouts of idle: nothing unacked, nothing to reset.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  EXPECT_EQ(dialer->stats().stall_resets, 0u);
+  EXPECT_EQ(dialer->stats().retransmits, 0u);
+}
 
 TEST(SocketTransport, DialerGivesUpWhenNobodyListens) {
   auto transport = make_transport(TransportKind::kTcp);

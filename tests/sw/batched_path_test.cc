@@ -46,7 +46,9 @@ std::vector<Tuple> workload(KeyDistribution dist, std::size_t n,
 
 constexpr std::size_t kWindow = 128;
 
-EngineConfig config_for(Backend b, std::size_t dispatch_batch) {
+// `cores` 0 picks the default: 4 cores, or 2 per cluster worker.
+EngineConfig config_for(Backend b, std::size_t dispatch_batch,
+                        std::uint32_t cores = 0) {
   EngineConfig cfg;
   cfg.backend = b;
   cfg.window_size = kWindow;
@@ -58,6 +60,7 @@ EngineConfig config_for(Backend b, std::size_t dispatch_batch) {
   } else {
     cfg.num_cores = 4;
   }
+  if (cores != 0) cfg.num_cores = cores;
   return cfg;
 }
 
@@ -67,8 +70,8 @@ struct PathRun {
 };
 
 PathRun run_once(Backend b, std::size_t dispatch_batch,
-             const std::vector<Tuple>& tuples) {
-  auto engine = make_engine(config_for(b, dispatch_batch));
+                 const std::vector<Tuple>& tuples, std::uint32_t cores = 0) {
+  auto engine = make_engine(config_for(b, dispatch_batch, cores));
   const RunReport report = engine->process(tuples);
   PathRun out;
   out.result_keys = normalize(engine->take_results());
@@ -80,6 +83,9 @@ PathRun run_once(Backend b, std::size_t dispatch_batch,
 
 struct Params {
   Backend backend;
+  // SplitJoin cores (per cluster worker); 0 = config_for's default. It
+  // sits in what was padding, so the rows without it keep their names.
+  std::uint8_t cores;
   std::size_t batch;
   KeyDistribution dist;
 };
@@ -89,7 +95,9 @@ std::string name(const testing::TestParamInfo<Params>& info) {
   for (auto& c : backend) {
     if (c == '-') c = '_';
   }
-  return backend + "_b" + std::to_string(info.param.batch) +
+  const std::string cores =
+      info.param.cores == 0 ? "" : "_c" + std::to_string(info.param.cores);
+  return backend + cores + "_b" + std::to_string(info.param.batch) +
          (info.param.dist == KeyDistribution::kZipf ? "_zipf" : "_uni");
 }
 
@@ -99,8 +107,8 @@ TEST_P(BatchedPathTest, MatchesTuplePathExactly) {
   const Params& p = GetParam();
   const auto tuples = workload(p.dist, 4 * kWindow + 7);
 
-  const PathRun tuple_path = run_once(p.backend, 0, tuples);
-  const PathRun batched = run_once(p.backend, p.batch, tuples);
+  const PathRun tuple_path = run_once(p.backend, 0, tuples, p.cores);
+  const PathRun batched = run_once(p.backend, p.batch, tuples, p.cores);
 
   EXPECT_EQ(batched.result_keys, tuple_path.result_keys);
   EXPECT_EQ(batched.det_json, tuple_path.det_json)
@@ -114,16 +122,23 @@ TEST_P(BatchedPathTest, MatchesTuplePathExactly) {
 // gtest prints each parameter's bytes into its test name, padding
 // included. Static storage zero-fills the padding and ValuesIn copies the
 // array whole, so the names stay the same from build to build.
+// The 1-core rows run SplitJoin inline on the caller's (or the cluster
+// worker's) thread.
 constexpr Params kSweep[] = {
-    {Backend::kSwSplitJoin, 1, KeyDistribution::kUniform},
-    {Backend::kSwSplitJoin, 7, KeyDistribution::kUniform},
-    {Backend::kSwSplitJoin, 7, KeyDistribution::kZipf},
-    {Backend::kSwSplitJoin, 64, KeyDistribution::kUniform},
-    {Backend::kSwSplitJoin, kWindow, KeyDistribution::kZipf},
-    {Backend::kCluster, 1, KeyDistribution::kUniform},
-    {Backend::kCluster, 7, KeyDistribution::kZipf},
-    {Backend::kCluster, 64, KeyDistribution::kUniform},
-    {Backend::kCluster, kWindow, KeyDistribution::kUniform},
+    {Backend::kSwSplitJoin, 0, 1, KeyDistribution::kUniform},
+    {Backend::kSwSplitJoin, 0, 7, KeyDistribution::kUniform},
+    {Backend::kSwSplitJoin, 0, 7, KeyDistribution::kZipf},
+    {Backend::kSwSplitJoin, 0, 64, KeyDistribution::kUniform},
+    {Backend::kSwSplitJoin, 0, kWindow, KeyDistribution::kZipf},
+    {Backend::kSwSplitJoin, 1, 1, KeyDistribution::kUniform},
+    {Backend::kSwSplitJoin, 1, 7, KeyDistribution::kZipf},
+    {Backend::kSwSplitJoin, 1, 64, KeyDistribution::kUniform},
+    {Backend::kCluster, 0, 1, KeyDistribution::kUniform},
+    {Backend::kCluster, 0, 7, KeyDistribution::kZipf},
+    {Backend::kCluster, 0, 64, KeyDistribution::kUniform},
+    {Backend::kCluster, 0, kWindow, KeyDistribution::kUniform},
+    {Backend::kCluster, 1, 7, KeyDistribution::kZipf},
+    {Backend::kCluster, 1, 64, KeyDistribution::kUniform},
 };
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BatchedPathTest, testing::ValuesIn(kSweep),

@@ -6,6 +6,10 @@
 // uni-flow engine, checked over core/window/skew sweeps.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <system_error>
+#include <thread>
+
 #include "stream/generator.h"
 #include "stream/reference_join.h"
 #include "sw/splitjoin.h"
@@ -158,6 +162,44 @@ TEST(SplitJoinEngine, TupleLatencyIsMeasurable) {
   const double latency = engine.measure_tuple_latency_seconds(probe);
   EXPECT_GT(latency, 0.0);
   EXPECT_LT(latency, 1.0);
+}
+
+// Threads of this process, or 0 where /proc/self/task is not available.
+std::size_t thread_count() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return ec ? 0 : n;
+}
+
+// A 1-core engine runs its core on the caller's thread and starts no
+// thread at all; two cores bring two core threads and the collector.
+TEST(SplitJoinEngine, OneCoreEngineStartsNoThreads) {
+  // A sanitizer runtime starts a helper thread of its own on the first
+  // thread creation; let that happen before the baseline count.
+  std::thread([] {}).join();
+  const std::size_t before = thread_count();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/task on this host";
+  SplitJoinConfig cfg;
+  cfg.window_size = 32;
+  stream::WorkloadConfig wl;
+  wl.key_domain = 8;
+  const auto tuples = stream::WorkloadGenerator(wl).take(100);
+  {
+    cfg.num_cores = 1;
+    SplitJoinEngine engine(cfg, JoinSpec::equi_on_key());
+    EXPECT_EQ(thread_count(), before);
+    engine.process_batched(tuples, 16);
+    EXPECT_EQ(thread_count(), before);
+  }
+  {
+    cfg.num_cores = 2;
+    SplitJoinEngine engine(cfg, JoinSpec::equi_on_key());
+    EXPECT_EQ(thread_count(), before + 3);
+  }
 }
 
 TEST(SplitJoinEngine, RejectsInvalidConfig) {
