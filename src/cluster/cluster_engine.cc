@@ -26,11 +26,15 @@ namespace {
 // link then holds them undelivered. stalled() turns true once the link
 // has held undelivered batches for longer than its send budget without
 // delivering any of them. It never does on a link whose batches were all
-// delivered, nor on an unbudgeted one.
+// delivered, nor on an unbudgeted one. orphaned() turns true, budget or
+// not, once the link's producer connection has given up for good with
+// batches still undelivered (a dialer that stayed down past its
+// connect_timeout_s): no redial will deliver them.
 class DeliveryWatch {
  public:
   explicit DeliveryWatch(const Link<TupleBatch>& link)
       : link_(link),
+        producer_(link.net_producer()),
         budget_(std::chrono::duration<double, std::micro>(
             link.params().send_budget_us)) {}
 
@@ -46,11 +50,26 @@ class DeliveryWatch {
     return now - since_ > budget_;
   }
 
+  // peer_closed() takes the connection's lock and undelivered() reads
+  // counters the link's threads write, so both run at most once per
+  // kOrphanPoll rather than on every spin, and never on an SPSC link.
+  [[nodiscard]] bool orphaned() {
+    if (producer_ == nullptr) return false;
+    const auto now = std::chrono::steady_clock::now();
+    if (now < next_poll_) return false;
+    next_poll_ = now + kOrphanPoll;
+    return link_.undelivered() != 0 && producer_->peer_closed();
+  }
+
  private:
+  static constexpr std::chrono::milliseconds kOrphanPoll{1};
+
   const Link<TupleBatch>& link_;
+  const net::Connection* const producer_;  // null on an SPSC link
   const std::chrono::duration<double, std::micro> budget_;
   std::uint64_t backlog_ = std::numeric_limits<std::uint64_t>::max();
   std::chrono::steady_clock::time_point since_;
+  std::chrono::steady_clock::time_point next_poll_;
 };
 
 }  // namespace
@@ -808,6 +827,8 @@ void ClusterEngine::collect_slot(std::uint32_t slot,
         // Ends the wait: abandon_worker marks the worker gone.
         w.inbox.give_up_delivery();
         abandon_worker(w.index);
+      } else if (ingress.orphaned()) {
+        abandon_worker(w.index);  // no budget ran out: nothing is counted
       } else {
         backoff.pause();
       }

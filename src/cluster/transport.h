@@ -275,6 +275,12 @@ class Link {
     return delivered();
   }
 
+  // The producer end's net connection, or null on an SPSC link (which
+  // never closes).
+  [[nodiscard]] const net::Connection* net_producer() const noexcept {
+    return net_tx_;
+  }
+
   // Breaker state (producer-side; the consumer never writes it).
   [[nodiscard]] bool breaker_open() const noexcept { return breaker_open_; }
 

@@ -1,8 +1,9 @@
 // In-process loopback transport: the codec-faithful twin of the cluster's
-// raw SPSC links. Every try_send encodes a full wire frame and the
-// receiving side decodes it through FrameDecoder, so a loopback run
-// exercises byte-for-byte the same serialization path a socket run does —
-// minus the socket. Delivery is trivially reliable and in-order; the
+// raw SPSC links. Every try_send encodes a full wire frame and decodes it
+// back through FrameDecoder, CRC checks included, on the sender's thread
+// and outside the lock the receiver polls, so a loopback run exercises
+// byte-for-byte the same serialization path a socket run does — minus the
+// socket. Delivery is trivially reliable and in-order; the
 // credit window is still enforced so backpressure behavior (and its
 // stall accounting) matches the socket transports.
 #include <atomic>
@@ -26,17 +27,23 @@ namespace {
 // One direction of a loopback connection. The sender encodes into the
 // pipe; the receiver decodes out of it. `in_flight` drives the credit
 // window: the sender may hold at most `window` undelivered data frames.
+//
+// Two locks: `send_mu` orders the sending end's senders (and its close),
+// so frames enter the pipe in seq order; `mu` guards the frame queue that
+// the receiving thread polls, and is held only to push or pop.
 struct LoopbackPipe {
   explicit LoopbackPipe(std::size_t window) : window(window) {}
 
+  std::mutex send_mu;
   std::mutex mu;
-  std::deque<Frame> frames;
+  std::deque<Frame> frames;  // under mu
   const std::size_t window;
-  std::uint64_t next_seq = 1;  // sender-assigned data sequence
-  // Data frames sent and not yet popped by the receiver. Written under
-  // `mu`; an atomic so unacked() reads it without the lock.
+  std::uint64_t next_seq = 1;  // sender-assigned data sequence; send_mu
+  // Data frames sent and not yet popped by the receiver: raised under
+  // send_mu and mu, lowered under mu alone. An atomic so unacked() and
+  // the sender's credit check read it without `mu`.
   std::atomic<std::uint64_t> in_flight{0};
-  bool closed = false;
+  bool closed = false;  // written under send_mu and mu
 };
 
 class LoopbackConnection final : public Connection {
@@ -48,23 +55,22 @@ class LoopbackConnection final : public Connection {
   ~LoopbackConnection() override { close(); }
 
   bool try_send(MsgType type, std::span<const std::uint8_t> payload) override {
-    std::scoped_lock lock(tx_->mu, stats_mu_);
-    if (tx_->closed) {
-      ++stats_.send_stalls;
+    std::scoped_lock order(tx_->send_mu);
+    const bool data = is_data(type);
+    if (tx_->closed ||
+        (data && tx_->in_flight.load(std::memory_order_relaxed) >=
+                     tx_->window)) {
+      std::scoped_lock lock(stats_mu_);
+      ++(tx_->closed ? stats_.send_stalls : stats_.credit_stalls);
       return false;
     }
-    std::uint64_t seq = 0;
-    if (is_data(type)) {
-      if (tx_->in_flight.load(std::memory_order_relaxed) >= tx_->window) {
-        ++stats_.credit_stalls;
-        return false;
-      }
-      seq = tx_->next_seq++;
-      tx_->in_flight.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Full codec round trip: encode the frame, then decode it on the spot
-    // into the peer's inbox. A loopback message that survives is exactly
-    // the byte stream a socket peer would have received.
+    // Under send_mu in_flight can only fall (the receiver pops), so the
+    // credit checked above still holds when the frame is pushed.
+    const std::uint64_t seq = data ? tx_->next_seq++ : 0;
+    // Full codec round trip, outside the pipe lock: encode the frame, then
+    // decode it on the spot for the peer's inbox. A loopback message that
+    // survives is exactly the byte stream a socket peer would have
+    // received.
     std::vector<std::uint8_t> wire;
     append_frame(wire, type, seq, payload);
     FrameDecoder decoder;
@@ -73,10 +79,15 @@ class LoopbackConnection final : public Connection {
     const DecodeStatus status = decoder.next(frame);
     HAL_ASSERT_MSG(status == DecodeStatus::kOk,
                    "loopback codec round trip failed");
+    {
+      std::scoped_lock lock(tx_->mu);
+      if (data) tx_->in_flight.fetch_add(1, std::memory_order_relaxed);
+      tx_->frames.push_back(std::move(frame));
+    }
+    std::scoped_lock lock(stats_mu_);
     ++stats_.frames_sent;
     stats_.bytes_sent += wire.size();
-    if (is_data(type)) ++stats_.msgs_sent;
-    tx_->frames.push_back(std::move(frame));
+    if (data) ++stats_.msgs_sent;
     return true;
   }
 
@@ -87,10 +98,8 @@ class LoopbackConnection final : public Connection {
       rx_->frames.pop_front();
       ++stats_.frames_received;
       stats_.bytes_received += kHeaderSize + frame.payload.size();
-      if (frame.header.type == MsgType::kShutdown) {
-        rx_->closed = true;
-        continue;
-      }
+      // The sender's close() set `closed` when it queued the shutdown.
+      if (frame.header.type == MsgType::kShutdown) continue;
       if (is_data(frame.header.type)) {
         rx_->in_flight.fetch_sub(1, std::memory_order_relaxed);
         ++stats_.msgs_delivered;
@@ -118,16 +127,14 @@ class LoopbackConnection final : public Connection {
   }
 
   void close() override {
-    {
-      std::scoped_lock lock(tx_->mu);
-      if (!tx_->closed) {
-        std::vector<std::uint8_t> wire;
-        Frame frame;
-        frame.header.type = MsgType::kShutdown;
-        frame.payload = encode(ShutdownMsg{});
-        tx_->frames.push_back(std::move(frame));
-        tx_->closed = true;
-      }
+    std::scoped_lock order(tx_->send_mu);
+    std::scoped_lock lock(tx_->mu);
+    if (!tx_->closed) {
+      Frame frame;
+      frame.header.type = MsgType::kShutdown;
+      frame.payload = encode(ShutdownMsg{});
+      tx_->frames.push_back(std::move(frame));
+      tx_->closed = true;
     }
   }
 

@@ -1,112 +1,12 @@
 #include "net/wire.h"
 
-#include <array>
+#include <algorithm>
 
-#include "common/assert.h"
+#include "simd/probe.h"
 
 namespace hal::net {
 
 namespace {
-
-// --- Little-endian primitives ---------------------------------------------
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-// Bounds-checked sequential reader: every accessor refuses to read past
-// the span's end, which is what makes decode() total on arbitrary bytes.
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  [[nodiscard]] bool read_u8(std::uint8_t& v) {
-    if (pos_ + 1 > data_.size()) return false;
-    v = data_[pos_++];
-    return true;
-  }
-
-  [[nodiscard]] bool read_u16(std::uint16_t& v) {
-    if (pos_ + 2 > data_.size()) return false;
-    v = static_cast<std::uint16_t>(data_[pos_]) |
-        static_cast<std::uint16_t>(data_[pos_ + 1]) << 8;
-    pos_ += 2;
-    return true;
-  }
-
-  [[nodiscard]] bool read_u32(std::uint32_t& v) {
-    if (pos_ + 4 > data_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  [[nodiscard]] bool read_u64(std::uint64_t& v) {
-    if (pos_ + 8 > data_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return data_.size() - pos_;
-  }
-
- private:
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
-// --- Tuple wire layout -----------------------------------------------------
-
-// 17 bytes per tuple: key u32 | value u32 | seq u64 | origin u8. seq and
-// origin are simulator metadata (tuple.h), but the distributed runtime
-// ships them so the workers' stale-pair filter and the merger's ordering
-// contract work across the process boundary exactly as they do
-// in-process.
-constexpr std::size_t kTupleWireSize = 17;
-
-void put_tuple(std::vector<std::uint8_t>& out, const stream::Tuple& t) {
-  put_u32(out, t.key);
-  put_u32(out, t.value);
-  put_u64(out, t.seq);
-  put_u8(out, t.origin == stream::StreamId::R ? 0 : 1);
-}
-
-[[nodiscard]] bool read_tuple(Reader& r, stream::Tuple& t) {
-  std::uint8_t origin = 0;
-  if (!r.read_u32(t.key) || !r.read_u32(t.value) || !r.read_u64(t.seq) ||
-      !r.read_u8(origin)) {
-    return false;
-  }
-  if (origin > 1) return false;
-  t.origin = origin == 0 ? stream::StreamId::R : stream::StreamId::S;
-  return true;
-}
 
 constexpr std::uint32_t kFlagEndOfEpoch = 1u << 0;
 constexpr std::uint32_t kFlagDied = 1u << 1;
@@ -119,32 +19,11 @@ constexpr std::size_t kStampWireSize = 8;
 constexpr std::uint32_t kFlagCounts = 1u << 3;
 constexpr std::size_t kCountsWireSize = 16;
 
-// --- CRC32C table ----------------------------------------------------------
-
-constexpr std::uint32_t kCrcPoly = 0x82F63B78u;  // 0x1EDC6F41 reflected
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 1u) ? (crc >> 1) ^ kCrcPoly : crc >> 1;
-    }
-    table[i] = crc;
-  }
-  return table;
-}
-
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::uint8_t> data,
                      std::uint32_t seed) noexcept {
-  static const std::array<std::uint32_t, 256> kTable = make_crc_table();
-  std::uint32_t crc = ~seed;
-  for (const std::uint8_t byte : data) {
-    crc = (crc >> 8) ^ kTable[(crc ^ byte) & 0xFFu];
-  }
-  return ~crc;
+  return simd::crc32c(data.data(), data.size(), seed);
 }
 
 const char* to_string(MsgType t) noexcept {
@@ -179,15 +58,19 @@ void append_frame(std::vector<std::uint8_t>& wire, MsgType type,
                   std::uint64_t seq, std::span<const std::uint8_t> payload,
                   std::uint16_t channel) {
   HAL_CHECK(payload.size() <= kMaxPayload, "frame payload exceeds kMaxPayload");
-  wire.reserve(wire.size() + kHeaderSize + payload.size());
-  wire.insert(wire.end(), std::begin(kMagic), std::end(kMagic));
-  put_u8(wire, kProtocolVersion);
-  put_u8(wire, static_cast<std::uint8_t>(type));
-  put_u16(wire, channel);
-  put_u32(wire, static_cast<std::uint32_t>(payload.size()));
-  put_u32(wire, crc32c(payload));
-  put_u64(wire, seq);
-  wire.insert(wire.end(), payload.begin(), payload.end());
+  const std::size_t at = wire.size();
+  wire.resize(at + kHeaderSize + payload.size());
+  std::uint8_t* frame = wire.data() + at;
+  std::copy(std::begin(kMagic), std::end(kMagic), frame);
+  WireWriter w(std::span<std::uint8_t>(frame + 4, kHeaderSize - 4));
+  w.put_u8(kProtocolVersion);
+  w.put_u8(static_cast<std::uint8_t>(type));
+  w.put_u16(channel);
+  w.put_u32(static_cast<std::uint32_t>(payload.size()));
+  w.put_u32(crc32c(payload));
+  w.put_u64(seq);
+  HAL_ASSERT(w.done());
+  std::copy(payload.begin(), payload.end(), frame + kHeaderSize);
 }
 
 void FrameDecoder::feed(std::span<const std::uint8_t> data) {
@@ -215,7 +98,7 @@ DecodeStatus FrameDecoder::next(Frame& out) {
   if (h[4] != kProtocolVersion) return error_ = DecodeStatus::kBadVersion;
   if (!valid_msg_type(h[5])) return error_ = DecodeStatus::kBadType;
 
-  Reader r(std::span<const std::uint8_t>(h + 6, kHeaderSize - 6));
+  WireReader r(std::span<const std::uint8_t>(h + 6, kHeaderSize - 6));
   FrameHeader header;
   header.version = h[4];
   header.type = static_cast<MsgType>(h[5]);
@@ -248,64 +131,66 @@ void FrameDecoder::reset() {
 // --- Message codecs --------------------------------------------------------
 
 std::vector<std::uint8_t> encode(const HelloMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, m.node_id);
-  put_u32(out, m.shard);
-  put_u64(out, m.resume_seq);
-  put_u64(out, m.granted_through_seq);
+  std::vector<std::uint8_t> out(24);
+  WireWriter w(out);
+  w.put_u32(m.node_id);
+  w.put_u32(m.shard);
+  w.put_u64(m.resume_seq);
+  w.put_u64(m.granted_through_seq);
   return out;
 }
 
 bool decode(std::span<const std::uint8_t> payload, HelloMsg& m) {
-  Reader r(payload);
+  WireReader r(payload);
   return r.read_u32(m.node_id) && r.read_u32(m.shard) &&
          r.read_u64(m.resume_seq) && r.read_u64(m.granted_through_seq) &&
          r.done();
 }
 
 std::vector<std::uint8_t> encode(const CreditMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, m.granted_through_seq);
+  std::vector<std::uint8_t> out(8);
+  WireWriter(out).put_u64(m.granted_through_seq);
   return out;
 }
 
 bool decode(std::span<const std::uint8_t> payload, CreditMsg& m) {
-  Reader r(payload);
+  WireReader r(payload);
   return r.read_u64(m.granted_through_seq) && r.done();
 }
 
 std::vector<std::uint8_t> encode(const AckMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, m.cumulative_seq);
+  std::vector<std::uint8_t> out(8);
+  WireWriter(out).put_u64(m.cumulative_seq);
   return out;
 }
 
 bool decode(std::span<const std::uint8_t> payload, AckMsg& m) {
-  Reader r(payload);
+  WireReader r(payload);
   return r.read_u64(m.cumulative_seq) && r.done();
 }
 
 std::vector<std::uint8_t> encode(const ShutdownMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, m.reason);
+  std::vector<std::uint8_t> out(4);
+  WireWriter(out).put_u32(m.reason);
   return out;
 }
 
 bool decode(std::span<const std::uint8_t> payload, ShutdownMsg& m) {
-  Reader r(payload);
+  WireReader r(payload);
   return r.read_u32(m.reason) && r.done();
 }
 
 std::vector<std::uint8_t> encode(const WatermarkMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, m.epoch);
-  put_u64(out, m.r_count);
-  put_u64(out, m.s_count);
+  std::vector<std::uint8_t> out(24);
+  WireWriter w(out);
+  w.put_u64(m.epoch);
+  w.put_u64(m.r_count);
+  w.put_u64(m.s_count);
   return out;
 }
 
 bool decode(std::span<const std::uint8_t> payload, WatermarkMsg& m) {
-  Reader r(payload);
+  WireReader r(payload);
   return r.read_u64(m.epoch) && r.read_u64(m.r_count) &&
          r.read_u64(m.s_count) && r.done();
 }
@@ -315,27 +200,29 @@ std::vector<std::uint8_t> encode(const TupleBatchMsg& m) {
             "a tuple batch carries one stamp per tuple or none");
   HAL_CHECK(m.end_of_epoch || (m.r_count == 0 && m.s_count == 0),
             "only an end-of-epoch tuple batch carries audit counts");
-  std::vector<std::uint8_t> out;
-  out.reserve(24 + kCountsWireSize + m.tuples.size() * kTupleWireSize +
-              m.stamps.size() * kStampWireSize);
-  put_u64(out, m.epoch);
-  put_u64(out, m.link_seq);
+  std::vector<std::uint8_t> out(24 + (m.end_of_epoch ? kCountsWireSize : 0) +
+                                m.tuples.size() * kTupleWireSize +
+                                m.stamps.size() * kStampWireSize);
+  WireWriter w(out);
+  w.put_u64(m.epoch);
+  w.put_u64(m.link_seq);
   std::uint32_t flags = 0;
   if (m.end_of_epoch) flags |= kFlagEndOfEpoch | kFlagCounts;
   if (!m.stamps.empty()) flags |= kFlagStamps;
-  put_u32(out, flags);
-  put_u32(out, static_cast<std::uint32_t>(m.tuples.size()));
+  w.put_u32(flags);
+  w.put_u32(static_cast<std::uint32_t>(m.tuples.size()));
   if (m.end_of_epoch) {
-    put_u64(out, m.r_count);
-    put_u64(out, m.s_count);
+    w.put_u64(m.r_count);
+    w.put_u64(m.s_count);
   }
-  for (const stream::Tuple& t : m.tuples) put_tuple(out, t);
-  for (const std::uint64_t stamp : m.stamps) put_u64(out, stamp);
+  for (const stream::Tuple& t : m.tuples) w.put_tuple(t);
+  for (const std::uint64_t stamp : m.stamps) w.put_u64(stamp);
+  HAL_ASSERT(w.done());
   return out;
 }
 
 bool decode(std::span<const std::uint8_t> payload, TupleBatchMsg& m) {
-  Reader r(payload);
+  WireReader r(payload);
   std::uint32_t flags = 0;
   std::uint32_t count = 0;
   if (!r.read_u64(m.epoch) || !r.read_u64(m.link_seq) || !r.read_u32(flags) ||
@@ -355,19 +242,16 @@ bool decode(std::span<const std::uint8_t> payload, TupleBatchMsg& m) {
   const bool stamped = (flags & kFlagStamps) != 0;
   if (stamped && count == 0) return false;
   // Count must match the remaining bytes exactly; checking before the
-  // reserve keeps a corrupt count from over-allocating.
+  // resize keeps a corrupt count from over-allocating.
   const std::size_t per_tuple = kTupleWireSize + (stamped ? kStampWireSize : 0);
   if (r.remaining() != static_cast<std::size_t>(count) * per_tuple) {
     return false;
   }
-  m.tuples.clear();
-  m.tuples.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    stream::Tuple t;
-    if (!read_tuple(r, t)) return false;
-    m.tuples.push_back(t);
+  m.tuples.resize(count);
+  for (stream::Tuple& t : m.tuples) {
+    if (!r.read_tuple(t)) return false;
   }
-  m.stamps.assign(stamped ? count : 0, 0);
+  m.stamps.resize(stamped ? count : 0);
   for (std::uint64_t& stamp : m.stamps) {
     if (!r.read_u64(stamp)) return false;
   }
@@ -375,24 +259,25 @@ bool decode(std::span<const std::uint8_t> payload, TupleBatchMsg& m) {
 }
 
 std::vector<std::uint8_t> encode(const ResultBatchMsg& m) {
-  std::vector<std::uint8_t> out;
-  out.reserve(24 + m.results.size() * 2 * kTupleWireSize);
-  put_u64(out, m.epoch);
+  std::vector<std::uint8_t> out(24 + m.results.size() * 2 * kTupleWireSize);
+  WireWriter w(out);
+  w.put_u64(m.epoch);
   std::uint32_t flags = 0;
   if (m.end_of_epoch) flags |= kFlagEndOfEpoch;
   if (m.died) flags |= kFlagDied;
-  put_u32(out, flags);
-  put_u32(out, static_cast<std::uint32_t>(m.results.size()));
-  put_u64(out, m.dropped);
+  w.put_u32(flags);
+  w.put_u32(static_cast<std::uint32_t>(m.results.size()));
+  w.put_u64(m.dropped);
   for (const stream::ResultTuple& rt : m.results) {
-    put_tuple(out, rt.r);
-    put_tuple(out, rt.s);
+    w.put_tuple(rt.r);
+    w.put_tuple(rt.s);
   }
+  HAL_ASSERT(w.done());
   return out;
 }
 
 bool decode(std::span<const std::uint8_t> payload, ResultBatchMsg& m) {
-  Reader r(payload);
+  WireReader r(payload);
   std::uint32_t flags = 0;
   std::uint32_t count = 0;
   if (!r.read_u64(m.epoch) || !r.read_u32(flags) || !r.read_u32(count) ||
@@ -405,12 +290,9 @@ bool decode(std::span<const std::uint8_t> payload, ResultBatchMsg& m) {
   if (r.remaining() != static_cast<std::size_t>(count) * 2 * kTupleWireSize) {
     return false;
   }
-  m.results.clear();
-  m.results.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    stream::ResultTuple rt;
-    if (!read_tuple(r, rt.r) || !read_tuple(r, rt.s)) return false;
-    m.results.push_back(rt);
+  m.results.resize(count);
+  for (stream::ResultTuple& rt : m.results) {
+    if (!r.read_tuple(rt.r) || !r.read_tuple(rt.s)) return false;
   }
   return r.done();
 }

@@ -27,11 +27,13 @@
 // encoded frames and assert exactly this contract.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <vector>
 
+#include "common/assert.h"
 #include "stream/tuple.h"
 
 namespace hal::net {
@@ -75,10 +77,131 @@ enum class DecodeStatus : std::uint8_t {
 [[nodiscard]] const char* to_string(DecodeStatus s) noexcept;
 
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41, reflected) — the checksum
-// iSCSI/ext4/NVMe and NIC offloads standardize on. Table-driven software
-// implementation; `seed` allows incremental computation.
+// iSCSI/ext4/NVMe and NIC offloads standardize on. Runs on the simd
+// dispatch (simd::crc32c): the CPU's CRC instruction on AVX2 hosts, the
+// byte-wise table under HAL_SIMD_ISA=scalar and elsewhere. `seed` allows
+// incremental computation: crc32c(b, crc32c(a)) == crc32c(a ‖ b).
 [[nodiscard]] std::uint32_t crc32c(std::span<const std::uint8_t> data,
                                    std::uint32_t seed = 0) noexcept;
+
+// --- Little-endian field codec ---------------------------------------------
+//
+// The one place that knows the byte order and the tuple record: every
+// payload codec below and the checkpoint codec (recovery/checkpoint.h)
+// are built from these. An encoder sizes its payload once and fills it
+// with fixed-width stores; a decoder reads through a bounds-checked
+// cursor, which is what makes every decode total on arbitrary bytes.
+
+// 17 bytes per tuple: key u32 | value u32 | seq u64 | origin u8 (0 = R,
+// 1 = S). seq and origin are simulator metadata (tuple.h), but the
+// distributed runtime ships them so the workers' stale-pair filter and
+// the merger's ordering contract work across the process boundary exactly
+// as they do in-process.
+inline constexpr std::size_t kTupleWireSize = 17;
+
+// `v` in little-endian byte order (a byte swap only on big-endian hosts).
+template <typename T>
+[[nodiscard]] constexpr T to_little_endian(T v) noexcept {
+  if constexpr (std::endian::native == std::endian::big) {
+    if constexpr (sizeof(T) == 2) return __builtin_bswap16(v);
+    if constexpr (sizeof(T) == 4) return __builtin_bswap32(v);
+    if constexpr (sizeof(T) == 8) return __builtin_bswap64(v);
+  }
+  return v;
+}
+
+// Fills a buffer sized up front, one fixed-width store per field. Writing
+// past the end is a bug in the caller's sizing and aborts.
+class WireWriter {
+ public:
+  explicit WireWriter(std::span<std::uint8_t> out) noexcept
+      : at_(out.data()), end_(out.data() + out.size()) {}
+
+  void put_u8(std::uint8_t v) noexcept { put(v); }
+  void put_u16(std::uint16_t v) noexcept { put(v); }
+  void put_u32(std::uint32_t v) noexcept { put(v); }
+  void put_u64(std::uint64_t v) noexcept { put(v); }
+
+  void put_tuple(const stream::Tuple& t) noexcept {
+    HAL_ASSERT(static_cast<std::size_t>(end_ - at_) >= kTupleWireSize);
+    store(at_, t.key);
+    store(at_ + 4, t.value);
+    store(at_ + 8, t.seq);
+    at_[16] = t.origin == stream::StreamId::R ? 0 : 1;
+    at_ += kTupleWireSize;
+  }
+
+  // True once every byte of the buffer has been written.
+  [[nodiscard]] bool done() const noexcept { return at_ == end_; }
+
+ private:
+  template <typename T>
+  static void store(std::uint8_t* at, T v) noexcept {
+    v = to_little_endian(v);
+    std::memcpy(at, &v, sizeof v);
+  }
+
+  template <typename T>
+  void put(T v) noexcept {
+    HAL_ASSERT(static_cast<std::size_t>(end_ - at_) >= sizeof v);
+    store(at_, v);
+    at_ += sizeof v;
+  }
+
+  std::uint8_t* at_;
+  std::uint8_t* end_;
+};
+
+// Bounds-checked sequential reader: every read refuses to go past the
+// span's end and leaves the cursor where it was when it does.
+class WireReader {
+ public:
+  explicit WireReader(std::span<const std::uint8_t> data) noexcept
+      : data_(data) {}
+
+  [[nodiscard]] bool read_u8(std::uint8_t& v) noexcept { return read(v); }
+  [[nodiscard]] bool read_u16(std::uint16_t& v) noexcept { return read(v); }
+  [[nodiscard]] bool read_u32(std::uint32_t& v) noexcept { return read(v); }
+  [[nodiscard]] bool read_u64(std::uint64_t& v) noexcept { return read(v); }
+
+  // One tuple record; false past the end or on an origin byte above 1.
+  [[nodiscard]] bool read_tuple(stream::Tuple& t) noexcept {
+    if (remaining() < kTupleWireSize) return false;
+    const std::uint8_t* at = data_.data() + pos_;
+    const std::uint8_t origin = at[16];
+    if (origin > 1) return false;
+    t.key = load<std::uint32_t>(at);
+    t.value = load<std::uint32_t>(at + 4);
+    t.seq = load<std::uint64_t>(at + 8);
+    t.origin = origin == 0 ? stream::StreamId::R : stream::StreamId::S;
+    pos_ += kTupleWireSize;
+    return true;
+  }
+
+  [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return data_.size() - pos_;
+  }
+
+ private:
+  template <typename T>
+  static T load(const std::uint8_t* at) noexcept {
+    T v = 0;
+    std::memcpy(&v, at, sizeof v);
+    return to_little_endian(v);
+  }
+
+  template <typename T>
+  [[nodiscard]] bool read(T& v) noexcept {
+    if (remaining() < sizeof v) return false;
+    v = load<T>(data_.data() + pos_);
+    pos_ += sizeof v;
+    return true;
+  }
+
+  std::span<const std::uint8_t> data_;
+  std::size_t pos_ = 0;
+};
 
 struct FrameHeader {
   std::uint8_t version = kProtocolVersion;

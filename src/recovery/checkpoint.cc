@@ -8,114 +8,46 @@ namespace hal::recovery {
 namespace {
 
 using core::WindowImage;
+using net::kTupleWireSize;
+using net::WireReader;
+using net::WireWriter;
 using stream::Tuple;
 
-// Same primitives as the net codec (wire.cc keeps its own copies in an
-// anonymous namespace; the layout contract between them is the 17-byte
-// wire tuple, pinned by the round-trip tests).
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
+// The payload's size in bytes (layout: checkpoint.h), so serialize() can
+// fill it with fixed-width stores.
+std::size_t payload_size(const WindowImage& image) {
+  std::size_t size = 1 + 4 + 5 * 8 + 4;
+  for (const auto& core : image.cores) {
+    size += 9 + (core.win_r.size() + core.win_s.size()) * kTupleWireSize +
+            (core.arr_r.size() + core.arr_s.size()) * 8;
+  }
+  size += 4;
+  for (const auto& boundary : image.boundaries) {
+    size += 8 + (boundary.r_q.size() + boundary.s_q.size()) * kTupleWireSize;
+  }
+  return size;
 }
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-constexpr std::size_t kTupleWireSize = 17;
-
-void put_tuple(std::vector<std::uint8_t>& out, const Tuple& t) {
-  put_u32(out, t.key);
-  put_u32(out, t.value);
-  put_u64(out, t.seq);
-  put_u8(out, t.origin == stream::StreamId::R ? 0 : 1);
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  [[nodiscard]] bool read_u8(std::uint8_t& v) {
-    if (pos_ + 1 > data_.size()) return false;
-    v = data_[pos_++];
-    return true;
-  }
-
-  [[nodiscard]] bool read_u32(std::uint32_t& v) {
-    if (pos_ + 4 > data_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  [[nodiscard]] bool read_u64(std::uint64_t& v) {
-    if (pos_ + 8 > data_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  [[nodiscard]] bool read_tuple(Tuple& t) {
-    std::uint8_t origin = 0;
-    if (!read_u32(t.key) || !read_u32(t.value) || !read_u64(t.seq) ||
-        !read_u8(origin)) {
-      return false;
-    }
-    if (origin > 1) return false;
-    t.origin = origin == 0 ? stream::StreamId::R : stream::StreamId::S;
-    return true;
-  }
-
-  [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return data_.size() - pos_;
-  }
-
- private:
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
 
 // Refuses counts the remaining bytes cannot possibly hold, so a corrupt
 // count can never trigger an unbounded allocation.
-bool read_tuples(Reader& r, std::uint32_t count,
+bool read_tuples(WireReader& r, std::uint32_t count,
                  std::vector<Tuple>& out) {
   if (r.remaining() < static_cast<std::size_t>(count) * kTupleWireSize) {
     return false;
   }
-  out.clear();
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Tuple t;
+  out.resize(count);
+  for (Tuple& t : out) {
     if (!r.read_tuple(t)) return false;
-    out.push_back(t);
   }
   return true;
 }
 
-bool read_arrivals(Reader& r, std::size_t count,
+bool read_arrivals(WireReader& r, std::size_t count,
                    std::vector<std::uint64_t>& out) {
   if (r.remaining() < count * 8) return false;
-  out.clear();
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t v = 0;
+  out.resize(count);
+  for (std::uint64_t& v : out) {
     if (!r.read_u64(v)) return false;
-    out.push_back(v);
   }
   return true;
 }
@@ -123,34 +55,34 @@ bool read_arrivals(Reader& r, std::size_t count,
 }  // namespace
 
 std::vector<std::uint8_t> serialize(const WindowImage& image) {
-  std::vector<std::uint8_t> payload;
-  put_u8(payload, static_cast<std::uint8_t>(image.backend));
-  put_u32(payload, image.num_cores);
-  put_u64(payload, image.window_size);
-  put_u64(payload, image.epoch);
-  put_u64(payload, image.count_r);
-  put_u64(payload, image.count_s);
-  put_u64(payload, image.results_emitted);
-  put_u32(payload, static_cast<std::uint32_t>(image.cores.size()));
+  std::vector<std::uint8_t> payload(payload_size(image));
+  WireWriter w(payload);
+  w.put_u8(static_cast<std::uint8_t>(image.backend));
+  w.put_u32(image.num_cores);
+  w.put_u64(image.window_size);
+  w.put_u64(image.epoch);
+  w.put_u64(image.count_r);
+  w.put_u64(image.count_s);
+  w.put_u64(image.results_emitted);
+  w.put_u32(static_cast<std::uint32_t>(image.cores.size()));
   for (const auto& core : image.cores) {
-    put_u32(payload, static_cast<std::uint32_t>(core.win_r.size()));
-    put_u32(payload, static_cast<std::uint32_t>(core.win_s.size()));
+    w.put_u32(static_cast<std::uint32_t>(core.win_r.size()));
+    w.put_u32(static_cast<std::uint32_t>(core.win_s.size()));
     const bool has_arrivals = !core.arr_r.empty() || !core.arr_s.empty();
-    put_u8(payload, has_arrivals ? 1 : 0);
-    for (const Tuple& t : core.win_r) put_tuple(payload, t);
-    for (const Tuple& t : core.win_s) put_tuple(payload, t);
-    if (has_arrivals) {
-      for (std::uint64_t a : core.arr_r) put_u64(payload, a);
-      for (std::uint64_t a : core.arr_s) put_u64(payload, a);
-    }
+    w.put_u8(has_arrivals ? 1 : 0);
+    for (const Tuple& t : core.win_r) w.put_tuple(t);
+    for (const Tuple& t : core.win_s) w.put_tuple(t);
+    for (std::uint64_t a : core.arr_r) w.put_u64(a);
+    for (std::uint64_t a : core.arr_s) w.put_u64(a);
   }
-  put_u32(payload, static_cast<std::uint32_t>(image.boundaries.size()));
+  w.put_u32(static_cast<std::uint32_t>(image.boundaries.size()));
   for (const auto& boundary : image.boundaries) {
-    put_u32(payload, static_cast<std::uint32_t>(boundary.r_q.size()));
-    put_u32(payload, static_cast<std::uint32_t>(boundary.s_q.size()));
-    for (const Tuple& t : boundary.r_q) put_tuple(payload, t);
-    for (const Tuple& t : boundary.s_q) put_tuple(payload, t);
+    w.put_u32(static_cast<std::uint32_t>(boundary.r_q.size()));
+    w.put_u32(static_cast<std::uint32_t>(boundary.s_q.size()));
+    for (const Tuple& t : boundary.r_q) w.put_tuple(t);
+    for (const Tuple& t : boundary.s_q) w.put_tuple(t);
   }
+  HAL_ASSERT(w.done());
 
   std::vector<std::uint8_t> wire;
   net::append_frame(wire, net::MsgType::kCheckpoint, image.epoch, payload);
@@ -170,7 +102,7 @@ bool deserialize(std::span<const std::uint8_t> bytes, WindowImage& out) {
     return false;
   }
 
-  Reader r(frame.payload);
+  WireReader r(frame.payload);
   std::uint8_t backend = 0;
   std::uint32_t core_count = 0;
   WindowImage image;

@@ -1,5 +1,6 @@
 #include "simd/probe.h"
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -84,6 +85,32 @@ void scalar_hash_fib_hi16(const std::uint32_t* keys, std::size_t n,
     out[i] = static_cast<std::uint32_t>(
         (static_cast<std::uint64_t>(keys[i]) * 2654435761ULL) >> 16);
   }
+}
+
+// Byte-wise CRC32C: the reference every hardware CRC kernel must match.
+constexpr std::uint32_t kCrcPoly = 0x82F63B78u;  // 0x1EDC6F41 reflected
+
+constexpr std::array<std::uint32_t, 256> make_crc_table() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ kCrcPoly : crc >> 1;
+    }
+    table[i] = crc;
+  }
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+
+std::uint32_t scalar_crc32c(const std::uint8_t* data, std::size_t n,
+                            std::uint32_t seed) noexcept {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc = (crc >> 8) ^ kCrcTable[(crc ^ data[i]) & 0xFFu];
+  }
+  return ~crc;
 }
 
 // ---------------------------------------------------------------------------
@@ -235,6 +262,30 @@ __attribute__((target("avx2"))) void avx2_hash_fib_hi16(
     out[i] = static_cast<std::uint32_t>(
         (static_cast<std::uint64_t>(keys[i]) * 2654435761ULL) >> 16);
   }
+}
+
+// CRC32C on the SSE4.2 crc32 instruction, which implements exactly this
+// polynomial with the table's bit order: eight bytes per step, then the
+// tail. Dispatched under kAvx2 — every AVX2 CPU has SSE4.2.
+__attribute__((target("sse4.2"))) std::uint32_t sse42_crc32c(
+    const std::uint8_t* data, std::size_t n, std::uint32_t seed) noexcept {
+  std::uint32_t crc = ~seed;
+#if defined(__x86_64__)
+  std::uint64_t crc64 = crc;
+  for (; n >= 8; data += 8, n -= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, data, sizeof word);
+    crc64 = _mm_crc32_u64(crc64, word);
+  }
+  crc = static_cast<std::uint32_t>(crc64);
+#endif
+  for (; n >= 4; data += 4, n -= 4) {
+    std::uint32_t word = 0;
+    std::memcpy(&word, data, sizeof word);
+    crc = _mm_crc32_u32(crc, word);
+  }
+  for (; n > 0; ++data, --n) crc = _mm_crc32_u8(crc, *data);
+  return ~crc;
 }
 
 #endif  // HAL_SIMD_HAVE_AVX2
@@ -554,6 +605,18 @@ void hash_fib_hi16(const std::uint32_t* keys, std::size_t n,
       scalar_hash_fib_hi16(keys, n, out);
       return;
   }
+}
+
+Isa crc32c_isa() noexcept {
+  return resolve_active() == Isa::kAvx2 ? Isa::kAvx2 : Isa::kScalar;
+}
+
+std::uint32_t crc32c(const std::uint8_t* data, std::size_t n,
+                     std::uint32_t seed) noexcept {
+#if HAL_SIMD_HAVE_AVX2
+  if (crc32c_isa() == Isa::kAvx2) return sse42_crc32c(data, n, seed);
+#endif
+  return scalar_crc32c(data, n, seed);
 }
 
 std::uint64_t cycles_now() noexcept {

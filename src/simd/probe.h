@@ -8,7 +8,9 @@
 // dispatch. The Hardware-Conscious Stream Processing survey's checklist
 // (PAPERS.md) motivates the shapes: key-equality probe (count + index
 // gather), the masked variant fused with the logical-expiry arrival
-// cutoff, and the ingress keyslot hash.
+// cutoff, and the ingress keyslot hash. The wire codec's CRC32C
+// (net/wire.h) rides the same dispatch: the CPU's CRC instruction where
+// the active ISA has one, the byte-wise table otherwise.
 //
 // Contract shared by every kernel:
 //   * Pointers need no particular alignment; `n` may be any size
@@ -82,6 +84,19 @@ std::size_t probe_collect_since(const std::uint32_t* keys,
 // cluster-layer constants).
 void hash_fib_hi16(const std::uint32_t* keys, std::size_t n,
                    std::uint32_t* out) noexcept;
+
+// --- CRC32C ----------------------------------------------------------------
+
+// CRC32C (Castagnoli, polynomial 0x1EDC6F41, reflected) of data[0, n),
+// continued from `seed`: crc32c(b, crc32c(a)) == crc32c(a ‖ b), and seed 0
+// starts a fresh checksum. The scalar kernel is a byte-wise table — the
+// reference; under kAvx2 the SSE4.2 crc32 instruction runs (every AVX2
+// CPU has SSE4.2) eight bytes at a time; NEON keeps the table.
+[[nodiscard]] std::uint32_t crc32c(const std::uint8_t* data, std::size_t n,
+                                   std::uint32_t seed) noexcept;
+// The ISA whose kernel crc32c() runs right now: kAvx2 while active_isa()
+// is kAvx2, else kScalar (the table).
+[[nodiscard]] Isa crc32c_isa() noexcept;
 
 // --- Cycle counting (bench/kernel_cycles methodology) ----------------------
 

@@ -370,17 +370,19 @@ ClusterConfig partition_after_only_frame(std::uint32_t replicas) {
   return cfg;
 }
 
-// Runs `all` as six epochs; each process() must return well before the
-// partition heals.
+// Runs `all` as six epochs; each process() must return within
+// `max_seconds`, well before the partition heals.
 std::vector<stream::ResultTuple> run_six_epochs(ClusterEngine& engine,
-                                                const std::vector<Tuple>& all) {
+                                                const std::vector<Tuple>& all,
+                                                double max_seconds = 1.0) {
   std::vector<stream::ResultTuple> got;
   for (const auto& chunk : chunked(all, 6)) {
     const auto start = std::chrono::steady_clock::now();
     (void)engine.process(chunk);
     const std::chrono::duration<double> took =
         std::chrono::steady_clock::now() - start;
-    EXPECT_LT(took.count(), 1.0) << "process() waited for the partition";
+    EXPECT_LT(took.count(), max_seconds)
+        << "process() waited for the partition";
     auto r = engine.take_results();
     got.insert(got.end(), r.begin(), r.end());
   }
@@ -412,6 +414,58 @@ TEST(BreakerFailover, PartitionAfterAnEpochsOnlyFrameDegradesCleanly) {
   const ClusterReport rep = engine.report();
   EXPECT_GE(rep.budget_exhausted, 1u);
   EXPECT_GE(rep.breaker_trips, 1u);
+  EXPECT_TRUE(rep.degraded);
+  EXPECT_GT(rep.lost_tuples, 0u);
+  ReferenceJoin oracle(cfg.window_size, cfg.spec);
+  const auto expected = normalize(oracle.process_all(all));
+  const auto produced = normalize(got);
+  EXPECT_LT(produced.size(), expected.size());
+  EXPECT_TRUE(std::includes(expected.begin(), expected.end(),
+                            produced.begin(), produced.end()));
+}
+
+// No send budget, and a partition that outlasts the ingress dialer's
+// connect timeout: the dialer gives up for good with epoch 3's frame
+// unacknowledged, so no redial will ever deliver it. The collect wait sees
+// the producer connection closed with the frame still undelivered and
+// abandons the worker — uncounted, as no budget ran out — instead of
+// waiting forever.
+ClusterConfig given_up_unbudgeted_ingress(std::uint32_t replicas) {
+  ClusterConfig cfg = base_config(2);
+  cfg.replicas = replicas;
+  cfg.transport.batch_size = 1024;  // each epoch is one end-of-epoch frame
+  cfg.transport.link_transport = net::TransportKind::kTcp;
+  cfg.transport.net_window_frames = 4;
+  cfg.transport.net_connect_timeout_s = 0.5;
+  cfg.transport.net_fault.partition_after_frames = 2;
+  cfg.transport.net_fault.partition_seconds = 5.0;
+  cfg.transport.net_fault_workers = {0};
+  return cfg;
+}
+
+TEST(BreakerFailover, GivenUpUnbudgetedIngressFailsOverToReplica) {
+  const ClusterConfig cfg = given_up_unbudgeted_ingress(2);
+  const auto all = workload(600, 71);
+  ClusterEngine engine(cfg);
+  const auto got = run_six_epochs(engine, all, 2.0);
+  ReferenceJoin oracle(cfg.window_size, cfg.spec);
+  EXPECT_EQ(normalize(got), normalize(oracle.process_all(all)));
+
+  const ClusterReport rep = engine.report();
+  EXPECT_EQ(rep.budget_exhausted, 0u);
+  EXPECT_GE(rep.failovers, 1u);
+  EXPECT_FALSE(rep.degraded);
+  EXPECT_EQ(rep.lost_tuples, 0u);
+}
+
+TEST(BreakerFailover, GivenUpUnbudgetedIngressDegradesCleanly) {
+  const ClusterConfig cfg = given_up_unbudgeted_ingress(1);
+  const auto all = workload(600, 73);
+  ClusterEngine engine(cfg);
+  const auto got = run_six_epochs(engine, all, 2.0);
+
+  const ClusterReport rep = engine.report();
+  EXPECT_EQ(rep.budget_exhausted, 0u);
   EXPECT_TRUE(rep.degraded);
   EXPECT_GT(rep.lost_tuples, 0u);
   ReferenceJoin oracle(cfg.window_size, cfg.spec);

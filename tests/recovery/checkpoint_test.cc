@@ -200,6 +200,72 @@ TEST(Checkpoint, DeserializeIsTotalOnHostileBytes) {
   EXPECT_FALSE(deserialize(frame, out));
 }
 
+// A small image pinned byte for byte, as written by the codec of
+// protocol v3: a layout change made the same way in serialize and
+// deserialize would pass every round trip above, but not this.
+TEST(Checkpoint, GoldenImageBytes) {
+  const auto tuple = [](std::uint32_t key, std::uint32_t value,
+                        std::uint64_t seq, stream::StreamId origin) {
+    Tuple t;
+    t.key = key;
+    t.value = value;
+    t.seq = seq;
+    t.origin = origin;
+    return t;
+  };
+  WindowImage image;
+  image.backend = Backend::kSwBatch;
+  image.num_cores = 2;
+  image.window_size = 8;
+  image.epoch = 0x0102030405060708ull;
+  image.count_r = 5;
+  image.count_s = 0xFFFFFFFF00000001ull;
+  image.results_emitted = 17;
+  image.cores.resize(2);
+  image.cores[0].win_r = {tuple(0xA1B2C3D4u, 1, 2, stream::StreamId::R)};
+  image.cores[0].win_s = {tuple(3, 0x80000000u, 4, stream::StreamId::S)};
+  image.cores[1].win_r = {tuple(6, 7, 0x1122334455667788ull,
+                                stream::StreamId::R)};
+  image.cores[1].arr_r = {0x8000000000000009ull};
+  image.boundaries.resize(1);
+  image.boundaries[0].r_q = {tuple(9, 10, 11, stream::StreamId::S)};
+  const std::string golden =
+      "48414c4e030800009b000000d6e15e6508070605040302010402000000080000"
+      "00000000000807060504030201050000000000000001000000ffffffff110000"
+      "000000000002000000010000000100000000d4c3b2a101000000020000000000"
+      "0000000300000000000080040000000000000001010000000000000001060000"
+      "0007000000887766554433221100090000000000008001000000010000000000"
+      "0000090000000a0000000b0000000000000001";
+
+  const std::vector<std::uint8_t> bytes = serialize(image);
+  std::string hex;
+  for (const std::uint8_t b : bytes) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xF]);
+  }
+  EXPECT_EQ(hex, golden);
+
+  std::vector<std::uint8_t> golden_bytes;
+  for (std::size_t i = 0; i + 1 < golden.size(); i += 2) {
+    golden_bytes.push_back(static_cast<std::uint8_t>(
+        std::stoul(golden.substr(i, 2), nullptr, 16)));
+  }
+  WindowImage out;
+  ASSERT_TRUE(deserialize(golden_bytes, out));
+  EXPECT_EQ(out.backend, Backend::kSwBatch);
+  EXPECT_EQ(out.epoch, image.epoch);
+  EXPECT_EQ(out.count_s, image.count_s);
+  ASSERT_EQ(out.cores.size(), 2u);
+  EXPECT_EQ(out.cores[0].win_r, image.cores[0].win_r);
+  EXPECT_EQ(out.cores[0].win_s, image.cores[0].win_s);
+  EXPECT_EQ(out.cores[1].win_r, image.cores[1].win_r);
+  EXPECT_EQ(out.cores[1].arr_r, image.cores[1].arr_r);
+  ASSERT_EQ(out.boundaries.size(), 1u);
+  EXPECT_EQ(out.boundaries[0].r_q, image.boundaries[0].r_q);
+  EXPECT_EQ(serialize(out), golden_bytes);
+}
+
 TEST(Checkpoint, EmptyEngineRoundTrips) {
   auto engine = core::make_engine(config_for(Backend::kSwSplitJoin));
   WindowImage image;

@@ -228,6 +228,106 @@ INSTANTIATE_TEST_SUITE_P(AllIsas, ProbeKernelIsaTest,
                            return std::string(to_string(info.param));
                          });
 
+// --- CRC32C: every ISA's kernel against the byte-wise table --------------
+
+// CRC32C bit by bit, straight from the reflected polynomial: independent
+// of the table the scalar kernel looks up.
+std::uint32_t ref_crc32c(const std::uint8_t* data, std::size_t n,
+                         std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+class Crc32cIsaTest : public ProbeKernelIsaTest {
+ protected:
+  // The table's CRC (the scalar kernel), then back to the ISA under test.
+  std::uint32_t table_crc(const std::uint8_t* data, std::size_t n,
+                          std::uint32_t seed) {
+    force_isa(Isa::kScalar);
+    const std::uint32_t crc = crc32c(data, n, seed);
+    force_isa(GetParam());
+    return crc;
+  }
+};
+
+// Lengths 0..300 straddle every tail shape of an 8-byte step; 2744 is one
+// 80-result frame payload. Every start offset of an 8-byte word, seed 0
+// and random seeds.
+TEST_P(Crc32cIsaTest, MatchesTheTableAtEveryLengthOffsetAndSeed) {
+  const std::vector<std::uint8_t> buf = random_bytes(2744 + 8, 91);
+  std::vector<std::size_t> lengths(301);
+  for (std::size_t n = 0; n < lengths.size(); ++n) lengths[n] = n;
+  lengths.push_back(2744);
+  std::mt19937_64 rng(5);
+  for (const std::size_t n : lengths) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::uint8_t* data = buf.data() + offset;
+      for (const std::uint32_t seed :
+           {std::uint32_t{0}, static_cast<std::uint32_t>(rng())}) {
+        const std::uint32_t got = crc32c(data, n, seed);
+        ASSERT_EQ(got, ref_crc32c(data, n, seed))
+            << "n=" << n << " offset=" << offset << " seed=" << seed;
+        ASSERT_EQ(got, table_crc(data, n, seed))
+            << "n=" << n << " offset=" << offset << " seed=" << seed;
+      }
+    }
+  }
+  const std::uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(crc32c(digits, sizeof digits, 0), 0xE3069283u);
+}
+
+// crc32c(b, crc32c(a)) == crc32c(a ‖ b) at every split point.
+TEST_P(Crc32cIsaTest, SplitPointsComposeThroughTheSeed) {
+  const std::vector<std::uint8_t> buf = random_bytes(2744 + 8, 92);
+  for (const std::size_t n : {std::size_t{300}, std::size_t{2744}}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::uint8_t* data = buf.data() + offset;
+      const std::uint32_t whole = crc32c(data, n, 0);
+      ASSERT_EQ(whole, table_crc(data, n, 0)) << "n=" << n;
+      const std::size_t step = n <= 300 ? 1 : 7;
+      for (std::size_t split = 0; split <= n; split += step) {
+        const std::uint32_t head = crc32c(data, split, 0);
+        ASSERT_EQ(crc32c(data + split, n - split, head), whole)
+            << "n=" << n << " offset=" << offset << " split=" << split;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllIsas, Crc32cIsaTest,
+                         testing::Values(Isa::kScalar, Isa::kAvx2,
+                                         Isa::kNeon),
+                         [](const testing::TestParamInfo<Isa>& info) {
+                           return std::string(to_string(info.param));
+                         });
+
+// Forced scalar runs the table; AVX2 runs the CRC instruction; NEON keeps
+// the table.
+TEST(Crc32cDispatch, ForcedScalarRoutesToTheTable) {
+  EXPECT_EQ(force_isa(Isa::kScalar), Isa::kScalar);
+  EXPECT_EQ(crc32c_isa(), Isa::kScalar);
+  if (force_isa(Isa::kAvx2) == Isa::kAvx2) {
+    EXPECT_EQ(crc32c_isa(), Isa::kAvx2);
+  }
+  if (force_isa(Isa::kNeon) == Isa::kNeon) {
+    EXPECT_EQ(crc32c_isa(), Isa::kScalar);
+  }
+  reset_isa();
+}
+
 // --- Cross-ISA equivalence: wide vs forced-scalar on identical input ----
 TEST(ProbeKernelDifferential, WideIsaMatchesScalarByteForByte) {
   const Isa wide = detected_isa();
