@@ -17,10 +17,13 @@
 // A final section re-runs the sharded join with hal::net links — every
 // batch crossing the frame codec and a real (or loopback) wire instead
 // of the in-process SPSC ring — and reports the wire tax next to the
-// SPSC baseline. `--transport=loopback|unix|tcp` picks the wire (default
-// loopback); the series lands in BENCH_net.json.
+// SPSC baseline: 5 interleaved SPSC/net pairs on fresh engines per shard
+// count, as medians with their min-max and the ratio of the medians.
+// `--transport=loopback|unix|tcp` picks the wire (default loopback);
+// every sample lands in BENCH_net.json.
 //
 // Emits BENCH_cluster.json with the full sweep for downstream tooling.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -43,6 +46,31 @@ struct SweepPoint {
   double speedup;
   std::uint64_t results;
 };
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// "median [min-max]" of throughput samples, in M tuples/s.
+std::string spread_mtps(const std::vector<double>& tps) {
+  const auto [lo, hi] = std::minmax_element(tps.begin(), tps.end());
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.3f [%.3f-%.3f]", median(tps) / 1e6,
+                *lo / 1e6, *hi / 1e6);
+  return buf;
+}
+
+// JSON array of throughput samples, in run order.
+std::string json_samples(const std::vector<double>& tps) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < tps.size(); ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%s%.1f", i == 0 ? "" : ", ", tps[i]);
+    out += buf;
+  }
+  return out + "]";
+}
 
 std::vector<stream::Tuple> sweep_workload(std::size_t n) {
   stream::WorkloadConfig wl;
@@ -190,17 +218,21 @@ int main(int argc, char** argv) {
                 "SPSC ring: codec + credit + (real) socket cost");
   std::printf("  wire: %s\n", net::to_string(wire));
 
+  // One short run per side swings several-fold on a shared host, so each
+  // shard count runs kPairs SPSC/net pairs back to back on fresh engines.
+  constexpr int kPairs = 5;
   struct NetPoint {
     std::uint32_t shards;
-    double spsc_tps;
-    double net_tps;
-    cluster::ClusterReport rep;
+    std::vector<double> spsc_tps;  // one sample per pair, in run order
+    std::vector<double> net_tps;
+    cluster::ClusterReport rep;  // the last net run's
   };
   std::vector<NetPoint> net_sweep;
   const auto net_tuples =
       std::vector<stream::Tuple>(tuples.begin(), tuples.begin() + 40'000);
-  Table net_table({"shards", "SPSC Mtuples/s", "net Mtuples/s", "ratio",
-                   "frames", "MB on wire", "credit stalls"});
+  Table net_table({"shards", "SPSC Mtuples/s [min-max]",
+                   "net Mtuples/s [min-max]", "ratio", "frames",
+                   "MB on wire", "credit stalls"});
   bool results_identical = true;
   for (const std::uint32_t shards : {2u, 4u}) {
     cluster::ClusterConfig base =
@@ -209,30 +241,37 @@ int main(int argc, char** argv) {
     // tolerance is filtered out, so the result count is deterministic
     // and the SPSC/net comparison is exact, not approximate.
     base.window_mode = cluster::WindowMode::kExactGlobal;
-    cluster::ClusterEngine spsc_engine(base);
-    const auto spsc_run = spsc_engine.process(net_tuples);
-    const double spsc_tps = spsc_run.tuples_processed / spsc_run.elapsed_seconds;
-
     cluster::ClusterConfig wired = base;
     wired.transport.link_transport = wire;
-    cluster::ClusterEngine net_engine(wired);
-    const auto net_run = net_engine.process(net_tuples);
-    const double net_tps = net_run.tuples_processed / net_run.elapsed_seconds;
-    if (net_run.results_emitted != spsc_run.results_emitted) {
-      results_identical = false;
+    NetPoint point{shards, {}, {}, {}};
+    for (int pair = 0; pair < kPairs; ++pair) {
+      cluster::ClusterEngine spsc_engine(base);
+      const auto spsc_run = spsc_engine.process(net_tuples);
+      point.spsc_tps.push_back(spsc_run.tuples_processed /
+                               spsc_run.elapsed_seconds);
+      cluster::ClusterEngine net_engine(wired);
+      const auto net_run = net_engine.process(net_tuples);
+      point.net_tps.push_back(net_run.tuples_processed /
+                              net_run.elapsed_seconds);
+      if (net_run.results_emitted != spsc_run.results_emitted) {
+        results_identical = false;
+      }
+      point.rep = net_engine.report();
     }
-    const cluster::ClusterReport rep = net_engine.report();
-    net_sweep.push_back({shards, spsc_tps, net_tps, rep});
-    net_table.add_row({Table::integer(shards), Table::num(spsc_tps / 1e6, 3),
-                       Table::num(net_tps / 1e6, 3),
-                       Table::num(net_tps / spsc_tps, 2),
-                       Table::integer(rep.net.frames_sent),
-                       Table::num(rep.net.bytes_sent / 1e6, 1),
-                       Table::integer(rep.net.credit_stalls)});
+    const cluster::ClusterReport& rep = point.rep;
+    net_table.add_row(
+        {Table::integer(shards), spread_mtps(point.spsc_tps),
+         spread_mtps(point.net_tps),
+         Table::num(median(point.net_tps) / median(point.spsc_tps), 2),
+         Table::integer(rep.net.frames_sent),
+         Table::num(rep.net.bytes_sent / 1e6, 1),
+         Table::integer(rep.net.credit_stalls)});
+    net_sweep.push_back(std::move(point));
   }
   net_table.print();
   bench::claim(results_identical,
-               "net-backed links emit exactly the SPSC result count");
+               "net-backed links emit exactly the SPSC result count in "
+               "every pair");
 
   const std::string net_json_path = bench::out_path("BENCH_net.json");
   if (std::FILE* f = std::fopen(net_json_path.c_str(), "w")) {
@@ -240,19 +279,22 @@ int main(int argc, char** argv) {
                        net_json_path);
     std::fprintf(f, "  \"transport\": \"%s\",\n  \"tuples\": %zu,\n",
                  net::to_string(wire), net_tuples.size());
-    std::fprintf(f, "  \"sweep\": [\n");
+    std::fprintf(f, "  \"pairs\": %d,\n  \"sweep\": [\n", kPairs);
     for (std::size_t i = 0; i < net_sweep.size(); ++i) {
       const auto& p = net_sweep[i];
-      std::fprintf(f,
-                   "    {\"shards\": %u, \"spsc_tps\": %.1f, \"net_tps\": "
-                   "%.1f, \"frames_sent\": %llu, \"bytes_sent\": %llu, "
-                   "\"credit_stalls\": %llu, \"acks\": %llu}%s\n",
-                   p.shards, p.spsc_tps, p.net_tps,
-                   static_cast<unsigned long long>(p.rep.net.frames_sent),
-                   static_cast<unsigned long long>(p.rep.net.bytes_sent),
-                   static_cast<unsigned long long>(p.rep.net.credit_stalls),
-                   static_cast<unsigned long long>(p.rep.net.acks_received),
-                   i + 1 < net_sweep.size() ? "," : "");
+      std::fprintf(
+          f,
+          "    {\"shards\": %u, \"spsc_tps_median\": %.1f, "
+          "\"net_tps_median\": %.1f, \"spsc_tps\": %s, \"net_tps\": %s, "
+          "\"frames_sent\": %llu, \"bytes_sent\": %llu, "
+          "\"credit_stalls\": %llu, \"acks\": %llu}%s\n",
+          p.shards, median(p.spsc_tps), median(p.net_tps),
+          json_samples(p.spsc_tps).c_str(), json_samples(p.net_tps).c_str(),
+          static_cast<unsigned long long>(p.rep.net.frames_sent),
+          static_cast<unsigned long long>(p.rep.net.bytes_sent),
+          static_cast<unsigned long long>(p.rep.net.credit_stalls),
+          static_cast<unsigned long long>(p.rep.net.acks_received),
+          i + 1 < net_sweep.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -5,8 +5,9 @@
 //
 //   1. Fast-path tax — the sharded equi-join from cluster_scaling, run
 //      three ways: supervision off (the baseline), supervision on with
-//      checkpoints disabled (replay log + supervisor thread only), and
-//      supervision on with per-epoch checkpoints. The first gap is the
+//      checkpoints disabled (replay log only: restarts run on the
+//      process() thread, so no thread is added), and supervision on with
+//      per-epoch checkpoints. The first gap is the
 //      price of merely being recoverable; the second adds the snapshot +
 //      serialize cost per epoch.
 //
@@ -14,7 +15,7 @@
 //      serialize, deserialize and restore latency at a realistic window
 //      fill, plus the image wire size.
 //
-//   3. MTTR — a seeded chaos kill mid-run; the supervisor's detect →
+//   3. MTTR — a seeded chaos kill mid-run; the restart's detect →
 //      respawn → restore → replay turnaround from RecoveryStats, with the
 //      differential guarantee (no lost tuples, no degradation) checked.
 //
@@ -202,7 +203,7 @@ int main(int argc, char** argv) {
                "all three sw backends produced serializable checkpoints");
 
   // --- 3. MTTR -------------------------------------------------------------
-  bench::banner("MTTR", "seeded chaos kill mid-run: supervisor detect -> "
+  bench::banner("MTTR", "seeded chaos kill mid-run: restart detect -> "
                         "respawn -> restore -> replay turnaround");
   recovery::ChaosOptions chaos_opts;
   chaos_opts.workers = 4;

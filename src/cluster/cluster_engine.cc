@@ -220,21 +220,14 @@ ClusterEngine::ClusterEngine(const ClusterConfig& cfg)
   slot_retired_.assign(slots, 0);
 
   workers_.reserve(total);
-  merge_.reserve(total);
   for (std::uint32_t slot = 0; slot < slots; ++slot) {
     for (std::uint32_t rep = 0; rep < cfg_.replicas; ++rep) {
       workers_.push_back(make_worker(slot, rep));
-      merge_.push_back(std::make_unique<MergeSlot>());
-      workers_.back()->merge_slot = merge_.back().get();
     }
   }
   setup_net_links();
   for (auto& w : workers_) {
     if (w->engine != nullptr) start_worker(*w);
-  }
-  merger_ = std::thread([this] { merger_loop(); });
-  if (cfg_.recovery.supervise) {
-    supervisor_ = std::thread([this] { supervisor_loop(); });
   }
 }
 
@@ -256,7 +249,7 @@ std::unique_ptr<ClusterEngine::Worker> ClusterEngine::make_worker(
   }
   auto w = std::make_unique<Worker>(index, slot, replica, ingress,
                                     cfg_.transport.egress,
-                                    cfg_.transport.batch_size, merger_bell_);
+                                    cfg_.transport.batch_size, process_bell_);
   if (cfg_.transport.worker_addresses.empty()) {
     w->engine = core::make_engine(engine_cfg);
   }
@@ -276,8 +269,15 @@ std::unique_ptr<ClusterEngine::Worker> ClusterEngine::make_worker(
 }
 
 void ClusterEngine::start_worker(Worker& w) {
+  w.dead.store(false, std::memory_order_relaxed);
   Worker* raw = &w;
-  raw->thread = std::thread([this, raw] { worker_loop(*raw); });
+  w.thread = std::thread([this, raw] {
+    worker_loop(*raw);
+    // The process() thread may be parked on this return: it restarts a
+    // supervised fail-stop (pump) or finishes a join (join_worker).
+    raw->dead.store(true, std::memory_order_release);
+    process_bell_.ring();
+  });
 }
 
 void ClusterEngine::require_local_workers(const char* what) const {
@@ -381,15 +381,11 @@ void ClusterEngine::attach_net_links(Worker& w) {
 
 ClusterEngine::~ClusterEngine() {
   stop_.store(true, std::memory_order_release);
-  // Supervisor first, so no respawn races the worker joins below. At
-  // quiescence no recovery is pending — collect_slot blocks until every
-  // recovered epoch completes — so any dead flag left here belongs to an
-  // already-exited incarnation that will never be restarted.
-  if (supervisor_.joinable()) supervisor_.join();
+  // Only process() restarts workers, so no respawn races these joins; a
+  // dead worker left here has already returned and is never restarted.
   for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
+    if (w->thread.joinable()) join_worker(*w);
   }
-  merger_.join();
   // Net teardown after every thread that touches a connection is gone:
   // dialers first (their I/O threads stop; a remote worker sees the
   // shutdown and returns), then the listener (owns the acceptor ends),
@@ -416,8 +412,8 @@ void ClusterEngine::worker_loop(Worker& w) {
   if (w.pin_cpu >= 0 && pin_current_thread(w.pin_cpu)) {
     w.pinned.store(true, std::memory_order_relaxed);
   }
-  // Respawned incarnations first re-process the since-checkpoint delta the
-  // supervisor staged. Live batches already covered by it (link_seq <=
+  // Respawned incarnations first re-process the since-checkpoint delta
+  // recover() staged. Live batches already covered by it (link_seq <=
   // replay_floor) are discarded below, so every batch is processed exactly
   // once no matter where in the epoch the kill landed.
   if (!w.replay.empty() && !stop_.load(std::memory_order_acquire)) {
@@ -544,7 +540,7 @@ bool ClusterEngine::egress_lost(Worker& w) {
   if (cfg_.recovery.supervise) {
     w.unrecoverable.store(true, std::memory_order_release);
   }
-  w.merge_slot->died.store(true, std::memory_order_release);
+  w.merge.died.store(true, std::memory_order_release);
   process_bell_.ring();  // collect_slot may be parked on this slot
   return true;
 }
@@ -575,7 +571,7 @@ const FaultEvent* ClusterEngine::due_fault(Worker& w,
 }
 
 bool ClusterEngine::fail_stop(Worker& w, std::uint64_t epoch) {
-  // Announce once: the merger discards the partial epoch on the obituary.
+  // Announce once: drain() discards the partial epoch on the obituary.
   w.dropped.store(true, std::memory_order_release);
   ResultBatch obituary;
   obituary.epoch = epoch;
@@ -587,9 +583,9 @@ bool ClusterEngine::fail_stop(Worker& w, std::uint64_t epoch) {
     return egress_lost(w);
   }
   if (cfg_.recovery.supervise) {
-    // Supervised: the thread exits and the supervisor restarts it from
-    // the newest checkpoint plus the replay delta.
-    w.dead.store(true, std::memory_order_release);
+    // Supervised: the thread returns, and its return marks it dead and
+    // rings process(), which restarts it from the newest checkpoint plus
+    // the replay delta (start_worker, pump).
     return false;
   }
   // Unsupervised: keep draining so the router's bounded link never wedges
@@ -609,7 +605,7 @@ void ClusterEngine::abandon_worker(std::uint32_t index) {
   if (cfg_.recovery.supervise) {
     w.unrecoverable.store(true, std::memory_order_release);
   }
-  merge_[index]->died.store(true, std::memory_order_release);
+  w.merge.died.store(true, std::memory_order_release);
 }
 
 void ClusterEngine::maybe_checkpoint(Worker& w, std::uint64_t epoch) {
@@ -630,34 +626,9 @@ void ClusterEngine::maybe_checkpoint(Worker& w, std::uint64_t epoch) {
   w.ckpt_epoch_pub.store(epoch, std::memory_order_release);
 }
 
-void ClusterEngine::supervisor_loop() {
-  SpinBackoff backoff;
-  while (true) {
-    bool acted = false;
-    {
-      // The sweep holds topology_mu_ so add_slot() cannot reallocate
-      // workers_ mid-iteration (retired entries stay in place and are
-      // simply never dead).
-      std::lock_guard<std::mutex> lock(topology_mu_);
-      for (auto& w : workers_) {
-        if (w->dead.load(std::memory_order_acquire)) {
-          recover(*w);
-          acted = true;
-        }
-      }
-    }
-    if (acted) {
-      backoff.reset();
-    } else {
-      if (stop_.load(std::memory_order_acquire)) return;
-      backoff.pause();
-    }
-  }
-}
-
 void ClusterEngine::recover(Worker& w) {
   Timer repair;       // detect → respawned: the MTTR the bench reports
-  w.thread.join();    // the incarnation set `dead` and exited right after
+  w.thread.join();    // the incarnation set `dead` as it returned
   ++w.restarts;
 
   std::vector<std::uint8_t> bytes;
@@ -683,12 +654,8 @@ void ClusterEngine::recover(Worker& w) {
       w.inbox.replay_copy(ckpt_epoch, floor, evicted);
   const bool recoverable = restored && evicted <= ckpt_epoch;
 
-  // MTTR accounting must precede the publication points below: the main
-  // thread's collect_slot wait is released either by the respawned thread
-  // (spawn's synchronizes-with edge, then worker → merger → collect) or by
-  // the `unrecoverable` store, and either edge must order these plain
-  // writes before report() reads them. The branch bookkeeping and the
-  // spawn itself are the only repair costs the measurement misses.
+  // The branch bookkeeping and the spawn are the only repair costs the
+  // measurement misses.
   const double mttr = repair.elapsed_seconds();
   w.mttr_seconds_total += mttr;
   if (mttr > w.mttr_seconds_max) w.mttr_seconds_max = mttr;
@@ -699,7 +666,6 @@ void ClusterEngine::recover(Worker& w) {
     // is damaged): exact recovery is impossible. Respawn drain-only so
     // the slot degrades cleanly instead of serving wrong answers.
     w.unrecoverable.store(true, std::memory_order_release);
-    process_bell_.ring();  // releases collect_slot's wait on this worker
     w.replay.clear();
     w.replay_floor = std::numeric_limits<std::uint64_t>::max();
   } else {
@@ -709,73 +675,75 @@ void ClusterEngine::recover(Worker& w) {
     w.step.reset();
     w.dropped.store(false, std::memory_order_release);
   }
-  w.dead.store(false, std::memory_order_relaxed);
-  Worker* raw = &w;
-  w.thread = std::thread([this, raw] { worker_loop(*raw); });
+  start_worker(w);
 }
 
-void ClusterEngine::merger_loop() {
-  SpinBackoff backoff(merger_bell_);
-  while (true) {
-    bool any = false;
-    {
-      // topology_mu_ pins workers_/merge_ against add_slot() growth for
-      // the duration of one sweep; retired workers are skipped (their
-      // outboxes drained dry before retirement).
-      std::lock_guard<std::mutex> lock(topology_mu_);
-      for (auto& w : workers_) {
-        if (w->retired.load(std::memory_order_acquire)) continue;
-        MergeSlot& m = *merge_[w->index];
-        // A failed worker's partial epoch is discarded wholesale; the
-        // replica's complete epoch (or accounted loss) replaces it.
-        const auto mark_died = [this, &m] {
-          m.pending.clear();
-          m.pending_dropped = 0;
-          m.died.store(true, std::memory_order_release);
-          process_bell_.ring();
-        };
-        ResultBatch batch;
-        bool received = false;
-        try {
-          while (w->outbox.try_recv(batch)) {
-            received = true;
-            if (batch.died) {
-              mark_died();
-              continue;
-            }
-            m.pending.insert(m.pending.end(), batch.results.begin(),
-                             batch.results.end());
-            m.pending_dropped += batch.dropped;
-            if (batch.end_of_epoch) {
-              m.completed = std::move(m.pending);
-              m.pending.clear();
-              m.completed_dropped = std::exchange(m.pending_dropped, 0);
-              m.last_deliver_at_us = batch.deliver_at_us;
-              m.completed_epoch.store(batch.epoch, std::memory_order_release);
-              process_bell_.ring();
-            }
-          }
-        } catch (const Error&) {
-          // Garbage on a result wire (HAL_CHECK_RECOVERABLE in the decode
-          // path): the same containment as a worker obituary.
-          mark_died();
-        }
-        // A remote worker whose connection closed, with everything it sent
-        // merged, has failed too: no answer can follow.
-        if (!received && !m.died.load(std::memory_order_relaxed) &&
-            w->outbox.peer_closed()) {
-          mark_died();
-        }
-        any = any || received;
+bool ClusterEngine::pump() {
+  bool acted = false;
+  for (auto& w : workers_) {
+    if (w->retired.load(std::memory_order_relaxed)) continue;
+    acted = drain(*w) || acted;
+    if (w->dead.load(std::memory_order_acquire)) {  // supervised fail-stop
+      recover(*w);
+      acted = true;
+    }
+  }
+  return acted;
+}
+
+bool ClusterEngine::drain(Worker& w) {
+  MergeSlot& m = w.merge;
+  // A failed worker's partial epoch is discarded wholesale; the replica's
+  // complete epoch (or accounted loss) replaces it.
+  const auto mark_died = [&m] {
+    m.pending.clear();
+    m.pending_dropped = 0;
+    m.died.store(true, std::memory_order_release);
+  };
+  ResultBatch batch;
+  bool received = false;
+  try {
+    while (w.outbox.try_recv(batch)) {
+      received = true;
+      if (batch.died) {
+        mark_died();
+        continue;
+      }
+      m.pending.insert(m.pending.end(), batch.results.begin(),
+                       batch.results.end());
+      m.pending_dropped += batch.dropped;
+      if (batch.end_of_epoch) {
+        m.completed = std::move(m.pending);
+        m.pending.clear();
+        m.completed_dropped = std::exchange(m.pending_dropped, 0);
+        m.last_deliver_at_us = batch.deliver_at_us;
+        m.completed_epoch = batch.epoch;
       }
     }
-    if (any) {
+  } catch (const Error&) {
+    // Garbage on a result wire (HAL_CHECK_RECOVERABLE in the decode
+    // path): the same containment as a worker obituary.
+    mark_died();
+  }
+  // A remote worker whose connection closed, with everything it sent
+  // merged, has failed too: no answer can follow.
+  if (!received && !m.died.load(std::memory_order_relaxed) &&
+      w.outbox.peer_closed()) {
+    mark_died();
+  }
+  return received;
+}
+
+void ClusterEngine::join_worker(Worker& w) {
+  SpinBackoff backoff(process_bell_);
+  while (!w.dead.load(std::memory_order_acquire)) {
+    if (drain(w)) {
       backoff.reset();
     } else {
-      if (stop_.load(std::memory_order_acquire)) return;
       backoff.pause();
     }
   }
+  w.thread.join();
 }
 
 void ClusterEngine::flush_slot(std::uint32_t slot, bool end_of_epoch) {
@@ -794,7 +762,10 @@ void ClusterEngine::flush_slot(std::uint32_t slot, bool end_of_epoch) {
       batch.s_count = slot_epoch_counts_[slot][1];
     }
     const auto n = static_cast<std::uint64_t>(batch.tuples.size());
-    if (w.inbox.breaker_open() || !w.inbox.send(std::move(batch), now_us(), n)) {
+    // A stalled send keeps pumping: the worker may be stuck on a full
+    // result link, or dead with its inbox full and waiting for a restart.
+    if (w.inbox.breaker_open() ||
+        !w.inbox.send(std::move(batch), now_us(), n, [this] { pump(); })) {
       // The worker's ingress wire is gone (budget exhausted / breaker
       // open): trip it off the serving path so its replica takes over
       // instead of the epoch stalling against a wedged link.
@@ -803,6 +774,7 @@ void ClusterEngine::flush_slot(std::uint32_t slot, bool end_of_epoch) {
   }
   staging.clear();
   stamps.clear();
+  pump();
 }
 
 void ClusterEngine::collect_slot(std::uint32_t slot,
@@ -810,7 +782,6 @@ void ClusterEngine::collect_slot(std::uint32_t slot,
   const std::uint32_t base = slot * cfg_.replicas;
   SpinBackoff backoff(process_bell_);
   for (std::uint32_t rep = 0; rep < cfg_.replicas; ++rep) {
-    MergeSlot& m = *merge_[base + rep];
     Worker& w = *workers_[base + rep];
     // A supervised worker's epoch still completes — after the restart,
     // restore and replay — so death is not a reason to stop waiting
@@ -818,17 +789,20 @@ void ClusterEngine::collect_slot(std::uint32_t slot,
     const auto gone = [&] {
       return cfg_.recovery.supervise
                  ? w.unrecoverable.load(std::memory_order_acquire)
-                 : m.died.load(std::memory_order_acquire);
+                 : w.merge.died.load(std::memory_order_acquire);
     };
     DeliveryWatch ingress(w.inbox);
-    while (m.completed_epoch.load(std::memory_order_acquire) < epoch_ &&
-           !gone()) {
+    while (true) {
+      const bool progress = pump();
+      if (w.merge.completed_epoch >= epoch_ || gone()) break;
       if (ingress.stalled()) {
         // Ends the wait: abandon_worker marks the worker gone.
         w.inbox.give_up_delivery();
         abandon_worker(w.index);
       } else if (ingress.orphaned()) {
         abandon_worker(w.index);  // no budget ran out: nothing is counted
+      } else if (progress) {
+        backoff.reset();
       } else {
         backoff.pause();
       }
@@ -837,8 +811,7 @@ void ClusterEngine::collect_slot(std::uint32_t slot,
   }
   std::int64_t chosen = -1;
   for (std::uint32_t rep = 0; rep < cfg_.replicas; ++rep) {
-    if (merge_[base + rep]->completed_epoch.load(
-            std::memory_order_acquire) >= epoch_) {
+    if (workers_[base + rep]->merge.completed_epoch >= epoch_) {
       chosen = rep;
       break;
     }
@@ -853,12 +826,12 @@ void ClusterEngine::collect_slot(std::uint32_t slot,
     ++failovers_;
     active_replica_[slot] = static_cast<std::uint32_t>(chosen);
   }
-  MergeSlot& m = *merge_[base + static_cast<std::uint32_t>(chosen)];
+  MergeSlot& m = workers_[base + static_cast<std::uint32_t>(chosen)]->merge;
   wait_until(m.last_deliver_at_us);  // modeled egress latency
   out.insert(out.end(), m.completed.begin(), m.completed.end());
   filtered_results_ += m.completed_dropped;
   for (std::uint32_t rep = 0; rep < cfg_.replicas; ++rep) {
-    merge_[base + rep]->completed.clear();
+    workers_[base + rep]->merge.completed.clear();
   }
 }
 
@@ -1019,16 +992,8 @@ std::uint32_t ClusterEngine::add_slot() {
   active_replica_.push_back(0);
   slot_retired_.push_back(0);
   for (std::uint32_t rep = 0; rep < cfg_.replicas; ++rep) {
-    std::unique_ptr<Worker> w = make_worker(slot, rep);
-    // Wire the net links before the merger can see the worker: attaching
-    // swaps the link's backing, which must not race a sweep's try_recv.
-    attach_net_links(*w);
-    {
-      std::lock_guard<std::mutex> lock(topology_mu_);
-      workers_.push_back(std::move(w));
-      merge_.push_back(std::make_unique<MergeSlot>());
-      workers_.back()->merge_slot = merge_.back().get();
-    }
+    workers_.push_back(make_worker(slot, rep));
+    attach_net_links(*workers_.back());
     start_worker(*workers_.back());
   }
   return slot;
@@ -1068,7 +1033,7 @@ void ClusterEngine::retire_slot(std::uint32_t slot) {
   }
   for (std::uint32_t rep = 0; rep < cfg_.replicas; ++rep) {
     Worker& w = *workers_[base + rep];
-    if (w.thread.joinable()) w.thread.join();
+    if (w.thread.joinable()) join_worker(w);
     w.engine.reset();
     w.retired.store(true, std::memory_order_release);
   }
@@ -1161,7 +1126,7 @@ void ClusterEngine::rebuild_slot(std::uint32_t slot,
     // dead (unsupervised) or unrecoverable is healthy again from here on.
     w.dropped.store(false, std::memory_order_release);
     w.unrecoverable.store(false, std::memory_order_release);
-    merge_[base + rep]->died.store(false, std::memory_order_release);
+    w.merge.died.store(false, std::memory_order_release);
     if (cfg_.recovery.supervise) {
       // Refresh the checkpoint: the old image and the replay log both
       // predate the migrated-in tuples, so a later restart restoring
@@ -1288,7 +1253,7 @@ void ClusterEngine::collect_metrics(obs::MetricRegistry& registry,
                        rep.keyspace_version);
   // Recovery: checkpoint/restart totals track batch positions and epoch
   // cadence (deterministic); replay-phase sizes and repair times track
-  // the supervisor's race with live traffic (runtime).
+  // the restart's race with live traffic (runtime).
   registry.set_counter(prefix + "recovery.checkpoints",
                        rep.recovery.checkpoints);
   registry.set_counter(prefix + "recovery.checkpoint_bytes",
@@ -1351,12 +1316,11 @@ void ClusterEngine::collect_metrics(obs::MetricRegistry& registry,
                          rep.guard.overload_observations,
                          obs::Stability::kRuntime);
   }
-  // Parks of the cluster's own waits (workers, merger, process()): the
-  // ones that ran out their quantum are idle time, the rest ended on a
-  // ring. Scheduling-dependent, so runtime.
-  std::uint64_t parks = merger_bell_.parks() + process_bell_.parks();
-  std::uint64_t park_timeouts =
-      merger_bell_.park_timeouts() + process_bell_.park_timeouts();
+  // Parks of the cluster's own waits (workers and process()): the ones
+  // that ran out their quantum are idle time, the rest ended on a ring.
+  // Scheduling-dependent, so runtime.
+  std::uint64_t parks = process_bell_.parks();
+  std::uint64_t park_timeouts = process_bell_.park_timeouts();
   for (const auto& w : workers_) {
     parks += w->bell.parks();
     park_timeouts += w->bell.park_timeouts();

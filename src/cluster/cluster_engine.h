@@ -23,8 +23,11 @@
 //              filter, egress staging), the step serve_worker runs too.
 //              Replication factor ≥ 2 runs hot replicas per shard slot
 //              for failover.
-//   merger   — the cluster-level gathering node: drains every worker's
-//              egress link and reassembles per-epoch result sets. With
+//   merger   — the cluster-level gathering node, run by the thread that
+//              calls process() wherever it waits (pump()): it drains every
+//              worker's egress link into per-epoch result sets and, under
+//              supervision, restarts dead workers, so an in-process
+//              cluster runs one thread per worker and no other. With
 //              WindowMode::kExactGlobal the workers have already dropped
 //              the stale pairs against the router's per-tuple horizons,
 //              so the cluster's output multiset is byte-identical to the
@@ -119,9 +122,10 @@ struct FaultPlan {
 };
 
 struct RecoveryConfig {
-  // Master switch: enables per-worker checkpoints, ingress replay logs
-  // and the Supervisor thread. With it off a killed worker stays dead
-  // (replica failover / clean degradation, the pre-recovery behavior).
+  // Master switch: enables per-worker checkpoints and ingress replay logs,
+  // and process() restarts a killed worker from them. With it off a
+  // killed worker stays dead (replica failover / clean degradation, the
+  // pre-recovery behavior).
   bool supervise = false;
   // A worker checkpoints its engine after every k-th completed epoch
   // (before publishing the epoch, so the checkpoint is always at least as
@@ -430,14 +434,26 @@ class ClusterEngine final : public core::StreamJoinEngine {
   void abandon_worker(std::uint32_t index);
 
  private:
-  struct MergeSlot;
+  // Per-worker result assembly, owned by the process() thread (pump()):
+  // `pending` gathers the epoch in flight, `completed` holds the newest
+  // finished one until collect_slot takes it.
+  struct MergeSlot {
+    std::vector<stream::ResultTuple> pending;
+    std::vector<stream::ResultTuple> completed;
+    std::uint64_t pending_dropped = 0;  // the workers' stale-pair counts
+    std::uint64_t completed_dropped = 0;
+    double last_deliver_at_us = 0.0;
+    std::uint64_t completed_epoch = 0;
+    // Also set by the worker thread when its egress is lost (egress_lost).
+    std::atomic<bool> died{false};
+  };
 
   struct Worker {
     Worker(std::uint32_t index, std::uint32_t slot, std::uint32_t replica,
            const LinkParams& ingress, const LinkParams& egress,
-           std::size_t batch_size, Doorbell& merger_bell)
+           std::size_t batch_size, Doorbell& process_bell)
         : index(index), slot(slot), replica(replica), inbox(ingress, &bell),
-          outbox(egress, &merger_bell), step(batch_size) {}
+          outbox(egress, &process_bell), step(batch_size) {}
 
     const std::uint32_t index;
     const std::uint32_t slot;
@@ -446,24 +462,20 @@ class ClusterEngine final : public core::StreamJoinEngine {
     std::unique_ptr<core::StreamJoinEngine> engine;
     Doorbell bell;  // the worker thread parks here; inbox sends ring it
     Link<TupleBatch> inbox;
-    Link<ResultBatch> outbox;  // sends ring the merger
+    Link<ResultBatch> outbox;  // sends ring process_bell_
+    MergeSlot merge;           // what process() has drained of the outbox
     std::thread thread;
 
     // Worker-thread-written; normally published to the main thread by the
-    // end-of-epoch / died message through the merger, but an abandoned
-    // worker keeps draining with no barrier left, so report() may read
-    // these live — relaxed atomics (single writer) keep that torn-free.
+    // end-of-epoch / died message on the outbox, but an abandoned worker
+    // keeps draining with no barrier left, so report() may read these
+    // live — relaxed atomics (single writer) keep that torn-free.
     std::atomic<std::uint64_t> tuples_in{0};
     std::atomic<std::uint64_t> results_out{0};
     std::atomic<std::uint64_t> data_batches_in{0};
     std::atomic<double> busy_seconds{0.0};
     WorkerStep step;  // engine, stale-pair filter, egress staging, audit
     std::atomic<bool> dropped{false};
-
-    // This worker's merge slot (heap-stable; set before the thread
-    // starts). Lets the worker thread mark its own epoch dead when an
-    // egress-side breaker trip makes the obituary path itself unusable.
-    MergeSlot* merge_slot = nullptr;
 
     // kSlowWorker state (worker-thread owned once consume() latches it).
     std::uint64_t slow_remaining = 0;  // batches still degraded
@@ -494,10 +506,12 @@ class ClusterEngine final : public core::StreamJoinEngine {
     std::uint64_t epoch_batches = 0;  // non-empty batches this epoch
 
     std::atomic<std::uint64_t> heartbeat{0};  // liveness ticks (obs gauge)
-    std::atomic<bool> dead{false};  // thread exited; supervisor must act
+    // The thread has returned: a supervised fail-stop that process() must
+    // restart, or a retirement or shutdown join (start_worker).
+    std::atomic<bool> dead{false};
     std::atomic<bool> unrecoverable{false};  // restart lost coverage
 
-    // Newest checkpoint: worker thread writes, supervisor reads. The
+    // Newest checkpoint: worker thread writes, recover() reads. The
     // published epoch additionally feeds replay-log truncation on the
     // main thread (reading it there is sound: the worker stores before
     // sending the end-of-epoch batch the main thread has already merged).
@@ -506,16 +520,16 @@ class ClusterEngine final : public core::StreamJoinEngine {
     std::uint64_t ckpt_epoch = 0;           // guarded by ckpt_mu
     std::atomic<std::uint64_t> ckpt_epoch_pub{0};
 
-    // Replay handoff, set by the supervisor before respawning the thread
-    // (the spawn publishes it). The respawned loop processes `replay`
-    // first, then discards inbox batches with link_seq <= replay_floor —
-    // every batch is processed exactly once under any interleaving.
+    // Replay handoff, set by recover() before respawning the thread (the
+    // spawn publishes it). The respawned loop processes `replay` first,
+    // then discards inbox batches with link_seq <= replay_floor — every
+    // batch is processed exactly once under any interleaving.
     std::vector<TupleBatch> replay;
     std::uint64_t replay_floor = 0;
 
-    // Recovery tallies. checkpoints/checkpoint_bytes are worker-owned
-    // (published like tuples_in); restarts/mttr are supervisor-owned and
-    // ordered by the respawn → end-of-epoch → collect chain.
+    // Recovery tallies. checkpoints/checkpoint_bytes/replayed_* are
+    // worker-owned (published like tuples_in); restarts/mttr belong to the
+    // process() thread, which runs recover().
     std::uint64_t checkpoints = 0;
     std::uint64_t checkpoint_bytes = 0;
     std::uint64_t restarts = 0;
@@ -524,19 +538,6 @@ class ClusterEngine final : public core::StreamJoinEngine {
     double mttr_seconds_total = 0.0;
     double mttr_seconds_max = 0.0;
     std::vector<double> mttr_us_samples;  // for the mttr_us histogram
-  };
-
-  // Merger-side per-worker assembly state. `pending` is merger-owned;
-  // `completed` is handed to the main thread by the `completed_epoch`
-  // release store and not touched again until the next epoch's traffic.
-  struct MergeSlot {
-    std::vector<stream::ResultTuple> pending;
-    std::vector<stream::ResultTuple> completed;
-    std::uint64_t pending_dropped = 0;  // the workers' stale-pair counts
-    std::uint64_t completed_dropped = 0;
-    double last_deliver_at_us = 0.0;
-    std::atomic<std::uint64_t> completed_epoch{0};
-    std::atomic<bool> died{false};
   };
 
   void worker_loop(Worker& w);
@@ -554,9 +555,16 @@ class ClusterEngine final : public core::StreamJoinEngine {
   // the value consume() must return (true — the thread keeps draining).
   bool egress_lost(Worker& w);
   void maybe_checkpoint(Worker& w, std::uint64_t epoch);
-  void supervisor_loop();
   void recover(Worker& w);
-  void merger_loop();
+  // The process() thread's control step, run wherever it waits: drains
+  // every live worker's outbox into its merge slot and restarts the dead
+  // (supervised) ones. True iff it received a batch or restarted a worker.
+  bool pump();
+  // Drains w's outbox into w.merge; true iff it received a batch.
+  bool drain(Worker& w);
+  // Joins w's thread once it has returned, draining w's outbox meanwhile:
+  // only this thread drains it, and a worker may still be sending.
+  void join_worker(Worker& w);
   void flush_slot(std::uint32_t slot, bool end_of_epoch);
   void collect_slot(std::uint32_t slot,
                     std::vector<stream::ResultTuple>& out);
@@ -577,10 +585,10 @@ class ClusterEngine final : public core::StreamJoinEngine {
   // (net-backed transports; no-op otherwise). add_slot() uses it to wire
   // workers created after construction.
   void attach_net_links(Worker& w);
-  // Builds (but does not start) one worker. Caller pushes it and its
-  // MergeSlot under topology_mu_ when threads are already running.
+  // Builds (but does not start) one worker.
   [[nodiscard]] std::unique_ptr<Worker> make_worker(std::uint32_t slot,
                                                     std::uint32_t replica);
+  // Spawns (or, after a fail-stop, respawns) w's thread.
   void start_worker(Worker& w);
 
   ClusterConfig cfg_;
@@ -602,24 +610,16 @@ class ClusterEngine final : public core::StreamJoinEngine {
   std::vector<std::unique_ptr<net::Connection>> net_dialers_;
   std::vector<net::Connection*> net_acceptors_;
 
-  // The merger parks on merger_bell_ (every outbox send rings it) and the
-  // process() thread's collect_slot on process_bell_, which every thread
-  // that can end that wait rings: the merger when it completes an epoch or
-  // marks a slot died, a worker whose egress is lost, and the supervisor
-  // when a restart turns out unrecoverable. Declared before workers_,
-  // whose outboxes point at merger_bell_.
-  Doorbell merger_bell_;
+  // The process() thread parks on process_bell_ wherever it waits, and
+  // every worker thread rings it when it has something for that thread:
+  // each outbox send, a lost egress, and the thread's return (start_worker).
+  // Declared before workers_, whose outboxes point at it.
   Doorbell process_bell_;
 
   // Grow-only (elastic): retirement never erases entries, so worker
-  // indices stay stable. The mutex orders vector growth (add_slot, main
-  // thread) against the merger/supervisor sweeps; element pointees are
-  // heap-stable and synchronized by their own protocols.
-  mutable std::mutex topology_mu_;
+  // indices stay stable. Only the process() thread touches the vector;
+  // each Worker is heap-stable for its thread.
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::unique_ptr<MergeSlot>> merge_;
-  std::thread merger_;
-  std::thread supervisor_;  // spawned iff recovery.supervise
   std::atomic<bool> stop_{false};
 
   // Main-thread epoch state. Slot-indexed vectors cover retired slots

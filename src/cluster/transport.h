@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -210,19 +209,24 @@ class Link {
   // their aggregate rate). Returns false iff the send was abandoned — the
   // budget ran out, the breaker was already open (send_budget_us > 0
   // only), or the net peer closed its end; otherwise an unbudgeted link
-  // retries forever.
-  [[nodiscard]] bool send(T msg, double now_us, std::uint64_t payload_items) {
+  // retries forever. Every failed try calls `on_stall()` first, so a
+  // producer that also consumes other links can serve them while it
+  // waits (the cluster's process() thread drains results and restarts
+  // dead workers there).
+  template <typename OnStall = void (*)()>
+  [[nodiscard]] bool send(T msg, double now_us, std::uint64_t payload_items,
+                          OnStall on_stall = [] {}) {
     if (breaker_open_) {
       stats_.breaker_drops.fetch_add(1, std::memory_order_relaxed);
       stats_.breaker_open.store(true, std::memory_order_relaxed);
       return false;
     }
     if (replay_enabled_) {
-      // Sequence assignment and log append are one atomic step, so a
-      // supervisor's replay_copy() either contains a batch or sees a
-      // floor below its seq — never both, never neither (the exactly-once
-      // invariant recovery depends on).
-      std::lock_guard<std::mutex> lock(replay_mu_);
+      // The log is the producer's alone: the restart that copies it runs
+      // on the producer thread too, even inside this send's stall loop, so
+      // a copy either contains this batch or sees a floor below its seq —
+      // never both, never neither (the exactly-once invariant recovery
+      // depends on).
       msg.link_seq = ++replay_seq_;
       replay_log_.push_back(msg);
       if (replay_log_.size() > replay_bound_) {
@@ -242,6 +246,7 @@ class Link {
       while (!net_try_send(*net_tx_, msg)) {
         stats_.stall_spins.fetch_add(1, std::memory_order_relaxed);
         if (net_tx_->peer_closed()) return false;  // no retry can succeed
+        on_stall();
         if (budget.exhausted()) return give_up();
         backoff.pause();
       }
@@ -269,6 +274,7 @@ class Link {
     BudgetClock budget(params_.send_budget_us);
     while (!queue_.try_push(std::move(msg))) {
       stats_.stall_spins.fetch_add(1, std::memory_order_relaxed);
+      on_stall();
       if (budget.exhausted()) return give_up();
       backoff.pause();
     }
@@ -318,10 +324,11 @@ class Link {
   // --- Bounded replay log (hal::recovery) --------------------------------
   // When enabled, every send is stamped with a monotone link_seq and
   // copied into a bounded log. The producer truncates the log as
-  // checkpoints land; a supervisor copies the uncovered suffix to replay
-  // into a restarted consumer. Overflow evicts the oldest entry and
-  // records the highest evicted epoch, so recovery can detect when the
-  // since-checkpoint delta is no longer fully covered.
+  // checkpoints land and copies the uncovered suffix to replay into a
+  // restarted consumer; every call below runs on the producer thread.
+  // Overflow evicts the oldest entry and records the highest evicted
+  // epoch, so recovery can detect when the since-checkpoint delta is no
+  // longer fully covered.
 
   // Call before any traffic (producer/consumer threads not yet running).
   void enable_replay(std::size_t max_batches) {
@@ -336,7 +343,6 @@ class Link {
   // (producer side, called at epoch barriers).
   void truncate_replay(std::uint64_t up_to_epoch) {
     if (!replay_enabled_) return;
-    std::lock_guard<std::mutex> lock(replay_mu_);
     while (!replay_log_.empty() && replay_log_.front().epoch <= up_to_epoch) {
       replay_log_.pop_front();
     }
@@ -345,10 +351,8 @@ class Link {
   // Highest link_seq assigned so far (0 when replay is disabled): the
   // discard floor for a consumer whose state already covers every past
   // send (elastic rebuilds use it to heal drain-only workers).
-  [[nodiscard]] std::uint64_t last_seq() {
-    if (!replay_enabled_) return 0;
-    std::lock_guard<std::mutex> lock(replay_mu_);
-    return replay_seq_;
+  [[nodiscard]] std::uint64_t last_seq() const noexcept {
+    return replay_enabled_ ? replay_seq_ : 0;
   }
 
   // Snapshot of the suffix newer than `after_epoch`, plus the seq floor
@@ -357,8 +361,7 @@ class Link {
   // means the delta is incomplete and exact recovery is impossible).
   [[nodiscard]] std::vector<T> replay_copy(
       std::uint64_t after_epoch, std::uint64_t& floor_seq,
-      std::uint64_t& evicted_through_epoch) {
-    std::lock_guard<std::mutex> lock(replay_mu_);
+      std::uint64_t& evicted_through_epoch) const {
     floor_seq = replay_seq_;
     evicted_through_epoch = evicted_through_epoch_;
     std::vector<T> out;
@@ -439,10 +442,9 @@ class Link {
 
   bool replay_enabled_ = false;
   std::size_t replay_bound_ = 0;
-  std::mutex replay_mu_;  // guards the log against supervisor copies
-  std::deque<T> replay_log_;
-  std::uint64_t replay_seq_ = 0;             // guarded by replay_mu_
-  std::uint64_t evicted_through_epoch_ = 0;  // guarded by replay_mu_
+  std::deque<T> replay_log_;  // producer-owned, like the fields below
+  std::uint64_t replay_seq_ = 0;
+  std::uint64_t evicted_through_epoch_ = 0;
 };
 
 }  // namespace hal::cluster

@@ -22,11 +22,10 @@
 //               park at once, so an arrival after an idle stretch (an
 //               open-loop stream) is seen in a futex wake, not at the end
 //               of a timer-slack-stretched sleep. A wait that no producer
-//               rings (socket I/O threads, stop flags, the supervisor's
-//               sweep, the sim barrier, ...) parks on a doorbell nothing
-//               rings, which is a timed sleep: ~8k wakeups/s/thread at the
-//               default cap, far below 5% of a core, with the reaction
-//               time bounded at the cap.
+//               rings (socket I/O threads, stop flags, the sim barrier,
+//               ...) parks on a doorbell nothing rings, which is a timed
+//               sleep: ~8k wakeups/s/thread at the default cap, far below
+//               5% of a core, with the reaction time bounded at the cap.
 //
 // Callers reset() whenever they make progress, so the policy restarts
 // from the cheap spin phase the moment traffic resumes.

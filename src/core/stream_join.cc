@@ -34,114 +34,74 @@ std::vector<ResultTuple> take_since(const std::vector<hw::TimedResult>& all,
   return fresh;
 }
 
-class HwUniflowAdapter final : public StreamJoinEngine {
+hw::UniflowConfig uniflow_config(const EngineConfig& cfg) {
+  hw::UniflowConfig hw_cfg;
+  hw_cfg.num_cores = cfg.num_cores;
+  hw_cfg.window_size = cfg.window_size;
+  hw_cfg.distribution = cfg.distribution;
+  hw_cfg.gathering = cfg.gathering;
+  return hw_cfg;
+}
+
+hw::BiflowConfig biflow_config(const EngineConfig& cfg) {
+  hw::BiflowConfig hw_cfg;
+  hw_cfg.num_cores = cfg.num_cores;
+  hw_cfg.window_size = cfg.window_size;
+  hw_cfg.gathering = cfg.gathering;
+  return hw_cfg;
+}
+
+// A cycle-sim engine behind the facade: each process() runs its batch to
+// quiescence, and the engine keeps every result it ever emitted.
+template <typename HwEngine, Backend kBackend>
+class HwAdapter final : public StreamJoinEngine {
  public:
-  explicit HwUniflowAdapter(const EngineConfig& cfg) : cfg_(cfg) {
-    hw::UniflowConfig hw_cfg;
-    hw_cfg.num_cores = cfg.num_cores;
-    hw_cfg.window_size = cfg.window_size;
-    hw_cfg.distribution = cfg.distribution;
-    hw_cfg.gathering = cfg.gathering;
-    engine_ = std::make_unique<hw::UniflowEngine>(hw_cfg);
-    engine_->set_record_injections(false);
-    engine_->program(cfg.spec);
+  template <typename HwConfig>
+  HwAdapter(const EngineConfig& cfg, const HwConfig& hw_cfg)
+      : clock_mhz_(cfg.clock_mhz), engine_(hw_cfg) {
+    engine_.set_record_injections(false);
+    engine_.program(cfg.spec);
   }
 
   RunReport process(const std::vector<Tuple>& tuples) override {
-    const std::uint64_t start = engine_->cycle();
-    engine_->offer(tuples);
-    engine_->run_to_quiescence(kMaxCyclesPerBatchTuple *
-                               std::max<std::uint64_t>(tuples.size(), 1));
+    const std::uint64_t start = engine_.cycle();
+    const std::size_t results_before = engine_.results().size();
+    engine_.offer(tuples);
+    engine_.run_to_quiescence(kMaxCyclesPerBatchTuple *
+                              std::max<std::uint64_t>(tuples.size(), 1));
     RunReport report;
     report.tuples_processed = tuples.size();
-    report.cycles = engine_->cycle() - start;
+    report.cycles = engine_.cycle() - start;
     report.elapsed_seconds =
-        static_cast<double>(*report.cycles) / (cfg_.clock_mhz * 1e6);
-    report.results_emitted = engine_->results().size() - taken_;
+        static_cast<double>(*report.cycles) / (clock_mhz_ * 1e6);
+    report.results_emitted = engine_.results().size() - results_before;
     return report;
   }
 
   void prefill(const std::vector<Tuple>& tuples) override {
-    engine_->prefill(tuples);
+    engine_.prefill(tuples);
   }
 
   void program(const stream::JoinSpec& spec) override {
-    engine_->program(spec);
+    engine_.program(spec);
   }
 
   std::vector<ResultTuple> take_results() override {
-    return take_since(engine_->results(), taken_);
+    return take_since(engine_.results(), taken_);
   }
 
-  [[nodiscard]] Backend backend() const noexcept override {
-    return Backend::kHwUniflow;
-  }
+  [[nodiscard]] Backend backend() const noexcept override { return kBackend; }
   [[nodiscard]] std::optional<hw::DesignStats> design_stats() const override {
-    return engine_->design_stats();
+    return engine_.design_stats();
   }
   void collect_metrics(obs::MetricRegistry& registry,
                        const std::string& prefix) const override {
-    engine_->collect_metrics(registry, prefix);
+    engine_.collect_metrics(registry, prefix);
   }
 
  private:
-  EngineConfig cfg_;
-  std::unique_ptr<hw::UniflowEngine> engine_;
-  std::size_t taken_ = 0;
-};
-
-class HwBiflowAdapter final : public StreamJoinEngine {
- public:
-  explicit HwBiflowAdapter(const EngineConfig& cfg) : cfg_(cfg) {
-    hw::BiflowConfig hw_cfg;
-    hw_cfg.num_cores = cfg.num_cores;
-    hw_cfg.window_size = cfg.window_size;
-    hw_cfg.gathering = cfg.gathering;
-    engine_ = std::make_unique<hw::BiflowEngine>(hw_cfg);
-    engine_->set_record_injections(false);
-    engine_->program(cfg.spec);
-  }
-
-  RunReport process(const std::vector<Tuple>& tuples) override {
-    const std::uint64_t start = engine_->cycle();
-    engine_->offer(tuples);
-    engine_->run_to_quiescence(kMaxCyclesPerBatchTuple *
-                               std::max<std::uint64_t>(tuples.size(), 1));
-    RunReport report;
-    report.tuples_processed = tuples.size();
-    report.cycles = engine_->cycle() - start;
-    report.elapsed_seconds =
-        static_cast<double>(*report.cycles) / (cfg_.clock_mhz * 1e6);
-    report.results_emitted = engine_->results().size() - taken_;
-    return report;
-  }
-
-  void prefill(const std::vector<Tuple>& tuples) override {
-    engine_->prefill(tuples);
-  }
-
-  void program(const stream::JoinSpec& spec) override {
-    engine_->program(spec);
-  }
-
-  std::vector<ResultTuple> take_results() override {
-    return take_since(engine_->results(), taken_);
-  }
-
-  [[nodiscard]] Backend backend() const noexcept override {
-    return Backend::kHwBiflow;
-  }
-  [[nodiscard]] std::optional<hw::DesignStats> design_stats() const override {
-    return engine_->design_stats();
-  }
-  void collect_metrics(obs::MetricRegistry& registry,
-                       const std::string& prefix) const override {
-    engine_->collect_metrics(registry, prefix);
-  }
-
- private:
-  EngineConfig cfg_;
-  std::unique_ptr<hw::BiflowEngine> engine_;
+  double clock_mhz_;
+  HwEngine engine_;
   std::size_t taken_ = 0;
 };
 
@@ -450,9 +410,12 @@ std::unique_ptr<StreamJoinEngine> make_engine(const EngineConfig& config) {
   };
   switch (config.backend) {
     case Backend::kHwUniflow:
-      return std::make_unique<HwUniflowAdapter>(config);
+      return std::make_unique<
+          HwAdapter<hw::UniflowEngine, Backend::kHwUniflow>>(
+          config, uniflow_config(config));
     case Backend::kHwBiflow:
-      return std::make_unique<HwBiflowAdapter>(config);
+      return std::make_unique<HwAdapter<hw::BiflowEngine, Backend::kHwBiflow>>(
+          config, biflow_config(config));
     case Backend::kSwSplitJoin:
       return maybe_guard(std::make_unique<SwSplitJoinAdapter>(config));
     case Backend::kSwHandshake:

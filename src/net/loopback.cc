@@ -80,14 +80,16 @@ class LoopbackConnection final : public Connection {
     HAL_ASSERT_MSG(status == DecodeStatus::kOk,
                    "loopback codec round trip failed");
     {
-      std::scoped_lock lock(tx_->mu);
-      if (data) tx_->in_flight.fetch_add(1, std::memory_order_relaxed);
-      tx_->frames.push_back(std::move(frame));
+      // Counted before the push: a receiver that takes the frame and then
+      // reads both ends' stats must find it sent.
+      std::scoped_lock lock(stats_mu_);
+      ++stats_.frames_sent;
+      stats_.bytes_sent += wire.size();
+      if (data) ++stats_.msgs_sent;
     }
-    std::scoped_lock lock(stats_mu_);
-    ++stats_.frames_sent;
-    stats_.bytes_sent += wire.size();
-    if (data) ++stats_.msgs_sent;
+    std::scoped_lock lock(tx_->mu);
+    if (data) tx_->in_flight.fetch_add(1, std::memory_order_relaxed);
+    tx_->frames.push_back(std::move(frame));
     return true;
   }
 

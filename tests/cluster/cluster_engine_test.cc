@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <filesystem>
 #include <span>
 #include <thread>
 
@@ -467,6 +468,78 @@ TEST(ClusterEngine, ParkCountersRiseAcrossAnIdleGap) {
   EXPECT_GT(after[0], before[0]) << "cluster.parks";
   EXPECT_GT(after[1], before[1]) << "worker engine parks";
   engine.process({tuples.begin() + 64, tuples.end()});
+}
+
+std::size_t thread_count() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return ec ? 0 : n;
+}
+
+// The process() thread merges the results and restarts dead workers
+// itself, so an in-process cluster of 1-core workers runs one thread per
+// worker, supervised or not.
+TEST(ClusterEngine, RunsOneThreadPerLocalWorker) {
+  // A sanitizer runtime starts a helper thread of its own on the first
+  // thread creation; let that happen before the baseline count.
+  std::thread([] {}).join();
+  const std::size_t before = thread_count();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/task on this host";
+  for (const bool supervise : {false, true}) {
+    SCOPED_TRACE(supervise ? "supervised" : "unsupervised");
+    ClusterConfig cfg = base_config();
+    cfg.partitioning = Partitioning::kKeyHash;
+    cfg.shards = 2;
+    cfg.replicas = 2;
+    cfg.recovery.supervise = supervise;
+    ClusterEngine engine(cfg);
+    EXPECT_EQ(thread_count(), before + 4);
+    engine.process(workload(400, 7));
+    EXPECT_EQ(thread_count(), before + 4);
+  }
+}
+
+// A supervised worker killed with its two-batch inbox full is restarted
+// from inside the router's stalled send, and its replay from epoch 0
+// fills its two-batch result link: the stalled send must keep draining
+// results, or the router waits forever.
+TEST(ClusterEngine, FullLinksDoNotWedgeASupervisedRestart) {
+  ClusterConfig cfg = base_config();
+  cfg.partitioning = Partitioning::kKeyHash;
+  cfg.shards = 2;
+  cfg.window_size = 256;
+  cfg.transport.batch_size = 8;
+  cfg.transport.ingress.capacity_batches = 2;
+  cfg.transport.egress.capacity_batches = 2;
+  cfg.recovery.supervise = true;
+  cfg.recovery.checkpoint_interval_epochs = 0;  // restarts replay from 0
+  cfg.faults.events.push_back(FaultEvent{.kind = FaultKind::kKillWorker,
+                                         .worker = 0,
+                                         .epoch = 2,
+                                         .after_batches = 20});
+  ClusterEngine engine(cfg);
+
+  constexpr std::size_t kEpoch = 1000;
+  const auto tuples = workload(3 * kEpoch, 53, 8);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t at = 0; at < tuples.size(); at += kEpoch) {
+    engine.process({tuples.begin() + static_cast<std::ptrdiff_t>(at),
+                    tuples.begin() + static_cast<std::ptrdiff_t>(at + kEpoch)});
+  }
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+
+  ReferenceJoin oracle(cfg.window_size, cfg.spec);
+  EXPECT_EQ(normalize(engine.take_results()),
+            normalize(oracle.process_all(tuples)));
+  const ClusterReport rep = engine.report();
+  EXPECT_GE(rep.recovery.restarts, 1u);
+  EXPECT_GT(rep.recovery.replayed_batches, 2u);
+  EXPECT_LT(took.count(), 30.0);
 }
 
 // Exact-global workers keep their arrivals' horizons for the current

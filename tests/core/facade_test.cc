@@ -57,6 +57,27 @@ TEST_P(FacadeBackendTest, ProcessesAndReports) {
   EXPECT_EQ(engine->design_stats().has_value(), is_hw);
 }
 
+// Each report counts the results of its own call, taken or not: two
+// rounds with one take at the end hand back what the two reports sum to.
+TEST_P(FacadeBackendTest, ResultsEmittedCountsThisCallOnly) {
+  EngineConfig cfg;
+  cfg.backend = GetParam();
+  cfg.num_cores = 4;
+  cfg.window_size = 64;
+  auto engine = make_engine(cfg);
+
+  stream::WorkloadConfig wl;
+  wl.seed = 23;
+  wl.key_domain = 16;
+  stream::WorkloadGenerator gen(wl);
+  const RunReport first = engine->process(gen.take(300));
+  const RunReport second = engine->process(gen.take(300));
+  EXPECT_GT(first.results_emitted, 0u);
+  EXPECT_GT(second.results_emitted, 0u);
+  EXPECT_EQ(engine->take_results().size(),
+            first.results_emitted + second.results_emitted);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, FacadeBackendTest,
     testing::Values(Backend::kHwUniflow, Backend::kHwBiflow,
